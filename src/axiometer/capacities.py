@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MonotonicityError, RangeError
-from .lattice import AxiomSet, moebius_subset, popcounts, subset_vector
+from .lattice import AxiomSet, moebius_subset, popcounts, subset_map, subset_vector
 
 #: Above this J the 3**J bipartition sweep for the additivity flags is skipped.
 ADDITIVITY_CHECK_MAX_AXIOMS = 14
@@ -33,10 +33,11 @@ class Capacity:
         arr = subset_vector(self.axioms, self.u)
         if arr[0] != 0.0:
             raise RangeError("capacity of the empty subset must be exactly 0")
-        if np.any(arr < 0.0):
-            bad = int(np.argmax(arr < 0.0))
+        valid = (arr >= 0.0) & (arr < np.inf)  # False for NaN
+        if not valid.all():
+            bad = int(np.argmin(valid))
             raise RangeError(
-                f"capacity must be non-negative, got {arr[bad]} at subset "
+                f"capacity must be finite and non-negative, got {arr[bad]} at subset "
                 f"{{{self.axioms.subset_key(bad)}}}"
             )
         arr.setflags(write=False)
@@ -134,7 +135,7 @@ def normalize(cap: Capacity) -> Capacity:
 
 
 def capacity_from_json(data: dict) -> Capacity:
-    from .collections import _axioms_from_json, _subset_map_from_json
+    from .collections import _axioms_from_json, _subset_array_from_json
     from .errors import ParseError
 
     if not isinstance(data, dict):
@@ -145,10 +146,7 @@ def capacity_from_json(data: dict) -> Capacity:
     if "axioms" not in data or "u" not in data:
         raise ParseError('capacity document needs "axioms" and "u"')
     axioms = _axioms_from_json(data["axioms"])
-    values = _subset_map_from_json(axioms, data["u"], "u")
-    u = np.zeros(axioms.n_masks)
-    for mask, val in values.items():
-        u[mask] = val
+    u = _subset_array_from_json(axioms, data["u"], "u", 0.0)
     try:
         return Capacity(axioms=axioms, u=u)
     except RangeError as exc:
@@ -158,8 +156,5 @@ def capacity_from_json(data: dict) -> Capacity:
 def capacity_to_json(cap: Capacity) -> dict:
     return {
         "axioms": list(cap.axioms.labels),
-        "u": {
-            cap.axioms.subset_key(m): float(cap.u[m])
-            for m in cap.axioms.nonempty_masks()
-        },
+        "u": subset_map(cap.axioms, cap.u),
     }

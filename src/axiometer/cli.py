@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,7 +35,8 @@ from .errors import (
     SizeError,
 )
 from .incompatibility import banzhaf, shapley
-from .performance import MEASURE_TAGS, evaluate, rank
+from .lattice import popcounts, subset_keys, subset_map
+from .performance import MEASURE_TAGS, evaluate, rank_values
 from .robustness import (
     CRITERION_TAGS,
     alpha_maxmin_score,
@@ -58,8 +60,6 @@ EXIT_SIZE = 3
 
 def _presentation_masks(axioms):
     """Non-empty masks ordered by subset size, then bit pattern."""
-    from .lattice import popcounts
-
     cards = popcounts(axioms.size)
     return sorted(axioms.nonempty_masks(), key=lambda m: (int(cards[m]), m))
 
@@ -75,11 +75,14 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _emit(args, payload, table: str) -> None:
+def _emit(args, payload, table) -> None:
+    """Write ``payload`` as strict JSON, or the text built by ``table()``."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
-        text = table if table.endswith("\n") else table + "\n"
+        text = table()
+        if not text.endswith("\n"):
+            text += "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -87,18 +90,18 @@ def _emit(args, payload, table: str) -> None:
 
 
 def _report_payload(report: FeasibilityReport, collection: Collection) -> dict:
-    axioms = collection.axioms
+    keys = subset_keys(collection.axioms.labels)
     return {
         "feasible": report.feasible,
         "checks": report.checks,
         "tolerance": report.tolerance,
         "negative_contributions": [
-            {"subset": axioms.subset_key(mask), "value": value}
+            {"subset": keys[mask], "value": value}
             for mask, value in report.negative_contributions
         ],
         "frechet_violations": [
             {
-                "subset": axioms.subset_key(v.subset),
+                "subset": keys[v.subset],
                 "kind": v.kind,
                 "axiom": v.axiom,
                 "slack": v.slack,
@@ -109,6 +112,7 @@ def _report_payload(report: FeasibilityReport, collection: Collection) -> dict:
 
 
 def _report_table(report: FeasibilityReport, axioms) -> str:
+    keys = subset_keys(axioms.labels)
     lines = [
         f"feasible: {'yes' if report.feasible else 'no'}",
         f"tolerance: {report.tolerance:g}",
@@ -116,12 +120,12 @@ def _report_table(report: FeasibilityReport, axioms) -> str:
     if report.negative_contributions:
         lines.append("negative contributions:")
         for mask, value in report.negative_contributions:
-            lines.append(f"  {{{axioms.subset_key(mask)}}}  {value:.6f}")
+            lines.append(f"  {{{keys[mask]}}}  {value:.6f}")
     if report.frechet_violations:
         lines.append("frechet violations:")
         for v in report.frechet_violations:
             lines.append(
-                f"  {{{axioms.subset_key(v.subset)}}}  {v.kind} via {v.axiom}"
+                f"  {{{keys[v.subset]}}}  {v.kind} via {v.axiom}"
                 f"  slack {v.slack:.6f}"
             )
     return "\n".join(lines)
@@ -147,7 +151,7 @@ def cmd_validate(args) -> int:
     _emit(
         args,
         _report_payload(report, collection),
-        _report_table(report, collection.axioms),
+        lambda: _report_table(report, collection.axioms),
     )
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
@@ -162,13 +166,12 @@ def cmd_perf(args) -> int:
         for name, path in zip(names, args.collections)
     ]
     try:
-        ranked = rank(entries, cap, args.measure, args.tol)
-        weights = {
-            name: evaluate(cap, c, args.measure, args.tol) for name, c in entries
-        }
+        results = [evaluate(cap, c, args.measure, args.tol) for _, c in entries]
     except InfeasibleCollectionError as exc:
         _emit_infeasible(exc, cap.axioms)
         return EXIT_INFEASIBLE
+    ranked = rank_values([(name, r.value) for name, r in zip(names, results)])
+    weights = {name: r.weights for name, r in zip(names, results)}
     axioms = cap.axioms
     payload = {
         "measure": args.measure,
@@ -177,26 +180,29 @@ def cmd_perf(args) -> int:
                 "rank": e.rank,
                 "name": e.name,
                 "value": e.value,
-                "weights": {
-                    axioms.subset_key(m): float(weights[e.name].weights[m])
-                    for m in axioms.nonempty_masks()
-                },
+                "weights": subset_map(axioms, weights[e.name]),
             }
             for e in ranked
         ],
     }
-    name_width = max(len("name"), *(len(e.name) for e in ranked))
-    lines = [f"measure: {args.measure}", f"rank  {'name':<{name_width}}  value"]
-    for e in ranked:
-        lines.append(f"{e.rank:<4}  {e.name:<{name_width}}  {e.value:.6f}")
-    lines.append("")
-    key_width = max(len(axioms.subset_key(m)) for m in axioms.nonempty_masks()) + 2
-    for e in ranked:
-        lines.append(f"weights[{e.name}]:")
-        for m in _presentation_masks(axioms):
-            key = "{" + axioms.subset_key(m) + "}"
-            lines.append(f"  {key:<{key_width}}  {weights[e.name].weights[m]:.6f}")
-    _emit(args, payload, "\n".join(lines))
+
+    def table() -> str:
+        keys = subset_keys(axioms.labels)
+        name_width = max(len("name"), *(len(e.name) for e in ranked))
+        lines = [f"measure: {args.measure}", f"rank  {'name':<{name_width}}  value"]
+        for e in ranked:
+            lines.append(f"{e.rank:<4}  {e.name:<{name_width}}  {e.value:.6f}")
+        lines.append("")
+        key_width = max(map(len, keys)) + 2
+        masks = _presentation_masks(axioms)
+        for e in ranked:
+            lines.append(f"weights[{e.name}]:")
+            for m in masks:
+                key = "{" + keys[m] + "}"
+                lines.append(f"  {key:<{key_width}}  {weights[e.name][m]:.6f}")
+        return "\n".join(lines)
+
+    _emit(args, payload, table)
     return EXIT_OK
 
 
@@ -217,14 +223,18 @@ def cmd_incompat(args) -> int:
         "total": alloc.total,
         "overall_incompatibility": overall,
     }
-    width = max(len("total"), *(len(lab) for lab in collection.axioms.labels))
-    lines = [f"method: {alloc.method}", f"{'axiom':<{width}}  value"]
-    for label, value in alloc.by_axiom().items():
-        lines.append(f"{label:<{width}}  {value:.6f}")
-    lines.append(f"{'total':<{width}}  {alloc.total:.6f}")
-    if args.method == "shapley":
-        lines.append(f"overall incompatibility (1 - p[all]): {overall:.6f}")
-    _emit(args, payload, "\n".join(lines))
+
+    def table() -> str:
+        width = max(len("total"), *(len(lab) for lab in collection.axioms.labels))
+        lines = [f"method: {alloc.method}", f"{'axiom':<{width}}  value"]
+        for label, value in alloc.by_axiom().items():
+            lines.append(f"{label:<{width}}  {value:.6f}")
+        lines.append(f"{'total':<{width}}  {alloc.total:.6f}")
+        if args.method == "shapley":
+            lines.append(f"overall incompatibility (1 - p[all]): {overall:.6f}")
+        return "\n".join(lines)
+
+    _emit(args, payload, table)
     return EXIT_OK
 
 
@@ -237,14 +247,19 @@ def cmd_simulate(args) -> int:
     else:
         payload = collection_to_json(result)
         collection = result
-    axioms = collection.axioms
-    lines = ["subset  p" + ("  stderr" if isinstance(result, EstimatedCollection) else "")]
-    for m in _presentation_masks(axioms):
-        row = f"{{{axioms.subset_key(m)}}}  {collection.p[m]:.6f}"
-        if isinstance(result, EstimatedCollection):
-            row += f"  {result.stderr[m]:.6f}"
-        lines.append(row)
-    _emit(args, payload, "\n".join(lines))
+
+    def table() -> str:
+        estimated = isinstance(result, EstimatedCollection)
+        keys = subset_keys(collection.axioms.labels)
+        lines = ["subset  p" + ("  stderr" if estimated else "")]
+        for m in _presentation_masks(collection.axioms):
+            row = f"{{{keys[m]}}}  {collection.p[m]:.6f}"
+            if estimated:
+                row += f"  {result.stderr[m]:.6f}"
+            lines.append(row)
+        return "\n".join(lines)
+
+    _emit(args, payload, table)
     return EXIT_OK
 
 
@@ -266,12 +281,15 @@ def cmd_compare(args) -> int:
             "score_f": score_f,
             "score_g": score_g,
         }
-        table = (
-            f"criterion: alpha_maxmin (alpha={args.alpha:g})\n"
-            f"verdict: {verdict}\n"
-            f"score F: {score_f:.6f}\nscore G: {score_g:.6f}"
+        _emit(
+            args,
+            payload,
+            lambda: (
+                f"criterion: alpha_maxmin (alpha={args.alpha:g})\n"
+                f"verdict: {verdict}\n"
+                f"score F: {score_f:.6f}\nscore G: {score_g:.6f}"
+            ),
         )
-        _emit(args, payload, table)
         return EXIT_OK
     compare = {
         "max_and_min": compare_max_and_min,
@@ -285,15 +303,29 @@ def cmd_compare(args) -> int:
         "values_f": dict(zip(fam_f.model_names, result.values_f)),
         "values_g": dict(zip(fam_g.model_names, result.values_g)),
     }
-    lines = [f"criterion: {result.criterion}", f"verdict: {result.verdict}"]
-    lines.append("values F: " + "  ".join(f"{v:.6f}" for v in result.values_f))
-    lines.append("values G: " + "  ".join(f"{v:.6f}" for v in result.values_g))
-    _emit(args, payload, "\n".join(lines))
+
+    def table() -> str:
+        lines = [f"criterion: {result.criterion}", f"verdict: {result.verdict}"]
+        lines.append("values F: " + "  ".join(f"{v:.6f}" for v in result.values_f))
+        lines.append("values G: " + "  ".join(f"{v:.6f}" for v in result.values_g))
+        return "\n".join(lines)
+
+    _emit(args, payload, table)
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def _add_common(parser, default_format="table"):
-    parser.add_argument("--tol", type=float, default=1e-9, help="feasibility tolerance")
+    parser.add_argument("--tol", type=_tolerance, default=1e-9, help="feasibility tolerance")
     parser.add_argument("--format", choices=("json", "table"), default=default_format)
     parser.add_argument("--out", help="write output to this path instead of stdout")
     parser.add_argument("--seed", type=int, default=None, help="override the experiment seed")

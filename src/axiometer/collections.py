@@ -31,6 +31,8 @@ from .errors import (
 from .lattice import (
     AxiomSet,
     moebius_superset,
+    subset_map,
+    subset_masks,
     subset_vector,
     zeta_superset,
 )
@@ -53,8 +55,9 @@ class Collection:
         arr = subset_vector(self.axioms, self.p)
         if arr[0] != 1.0:
             raise RangeError("probability of the empty subset must be exactly 1")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            bad = int(np.argmax((arr < 0.0) | (arr > 1.0)))
+        inside = (arr >= 0.0) & (arr <= 1.0)  # False for NaN
+        if not inside.all():
+            bad = int(np.argmin(inside))
             raise RangeError(
                 f"probability out of [0, 1] at subset "
                 f"{{{self.axioms.subset_key(bad)}}}: {arr[bad]}"
@@ -310,36 +313,78 @@ def worlds_matrix(axioms: AxiomSet) -> np.ndarray:
 def _axioms_from_json(data: object) -> AxiomSet:
     if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
         raise ParseError('"axioms" must be a list of strings')
+    for label in data:
+        if "+" in label:
+            raise ParseError(f"bad axiom list: label {label!r} contains '+'")
     try:
         return AxiomSet(tuple(data))
     except (RangeError, DuplicateAxiomError) as exc:
         raise ParseError(f"bad axiom list: {exc}") from exc
 
 
-def _subset_map_from_json(
-    axioms: AxiomSet, mapping: object, what: str
-) -> dict[int, float]:
-    if not isinstance(mapping, dict):
-        raise ParseError(f'"{what}" must be an object keyed by subsets')
-    values: dict[int, float] = {}
+def _checked_items(
+    axioms: AxiomSet, mapping: dict, table: dict[str, int]
+) -> tuple[list[int], list[float]]:
+    """Masks and values of a subset map, raising on the first bad item in order."""
+    masks: list[int] = []
+    values: list[float] = []
+    seen: set[int] = set()
     for key, raw in mapping.items():
-        try:
-            mask = axioms.mask_of(str(key).split("+"))
-        except (UnknownAxiomError, DuplicateAxiomError) as exc:
-            raise ParseError(f"bad subset key {key!r}: {exc}") from exc
-        if mask == 0:
-            raise ParseError(f"bad subset key {key!r}: empty subset is implicit")
-        if mask in values:
+        mask = table.get(key)
+        if mask is None:
+            try:
+                mask = axioms.mask_of(str(key).split("+"))
+            except (UnknownAxiomError, DuplicateAxiomError) as exc:
+                raise ParseError(f"bad subset key {key!r}: {exc}") from exc
+        if mask in seen:
             raise ParseError(f"subset {{{axioms.subset_key(mask)}}} given twice")
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise ParseError(f"value for {key!r} must be a number, got {raw!r}")
-        values[mask] = float(raw)
-    missing = [m for m in axioms.nonempty_masks() if m not in values]
-    if missing:
-        names = ", ".join(axioms.subset_key(m) for m in missing[:4])
+        try:
+            values.append(float(raw))
+        except OverflowError:
+            raise ParseError(f"value for {key!r} must be finite, got {raw!r}") from None
+        seen.add(mask)
+        masks.append(mask)
+    return masks, values
+
+
+def _subset_array_from_json(
+    axioms: AxiomSet, mapping: object, what: str, empty: float
+) -> np.ndarray:
+    """Dense per-subset array of a subset map, with ``empty`` at mask 0.
+
+    A map of canonical keys and float values is read in bulk through the key
+    table; any other map takes the item-by-item path, which resolves other key
+    spellings and reports the first bad item in document order.
+    """
+    if not isinstance(mapping, dict):
+        raise ParseError(f'"{what}" must be an object keyed by subsets')
+    table = subset_masks(axioms.labels)
+    if mapping.keys() <= table.keys() and set(map(type, mapping.values())) <= {float}:
+        # distinct canonical keys name distinct subsets: nothing else to check
+        masks = np.fromiter(map(table.__getitem__, mapping), np.intp, len(mapping))
+        values = np.fromiter(mapping.values(), np.float64, len(mapping))
+    else:
+        masks, values = _checked_items(axioms, mapping, table)
+    arr = np.empty(axioms.n_masks)
+    arr[0] = empty
+    arr[masks] = values
+    if len(masks) < axioms.n_masks - 1:
+        given = np.zeros(axioms.n_masks, dtype=bool)
+        given[masks] = True
+        missing = np.flatnonzero(~given[1:]) + 1
+        names = ", ".join(axioms.subset_key(int(m)) for m in missing[:4])
         more = "" if len(missing) <= 4 else f" (+{len(missing) - 4} more)"
         raise ParseError(f'"{what}" is missing subsets: {names}{more}')
-    return values
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ParseError(
+            f'"{what}" value at subset {{{axioms.subset_key(bad)}}} must be finite, '
+            f"got {arr[bad]}"
+        )
+    return arr
 
 
 def collection_from_json(data: dict) -> Collection:
@@ -352,10 +397,7 @@ def collection_from_json(data: dict) -> Collection:
     if "axioms" not in data or "p" not in data:
         raise ParseError('collection document needs "axioms" and "p"')
     axioms = _axioms_from_json(data["axioms"])
-    values = _subset_map_from_json(axioms, data["p"], "p")
-    p = np.ones(axioms.n_masks)
-    for mask, val in values.items():
-        p[mask] = val
+    p = _subset_array_from_json(axioms, data["p"], "p", 1.0)
     try:
         return Collection(axioms=axioms, p=p)
     except RangeError as exc:
@@ -366,5 +408,5 @@ def collection_to_json(c: Collection) -> dict:
     """Serialize back to the collection schema (inverse of collection_from_json)."""
     return {
         "axioms": list(c.axioms.labels),
-        "p": {c.axioms.subset_key(m): float(c.p[m]) for m in c.axioms.nonempty_masks()},
+        "p": subset_map(c.axioms, c.p),
     }

@@ -37,6 +37,8 @@ class Game:
         arr = subset_vector(self.axioms, self.v)
         if arr[0] != 0.0:
             raise RangeError("a game must assign 0 to the empty coalition")
+        if not np.isfinite(arr).all():
+            raise RangeError("game values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "v", arr)
 

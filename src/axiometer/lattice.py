@@ -13,7 +13,7 @@ otherwise — see :mod:`axiometer._kernels`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,10 +60,14 @@ class AxiomSet:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
     def index(self, name: str) -> int:
         try:
-            return self.labels.index(name)
-        except ValueError:
+            return self._positions[name]
+        except (KeyError, TypeError):
             raise UnknownAxiomError(f"unknown axiom {name!r}") from None
 
     def mask_of(self, names: Iterable[str]) -> int:
@@ -86,7 +90,10 @@ class AxiomSet:
         return tuple(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
 
     def subset_key(self, mask: int, sep: str = "+") -> str:
-        """Join the member labels, e.g. mask 0b101 -> ``"a1+a3"``."""
+        """Join the member labels, e.g. mask 0b101 -> ``"a1+a3"``.
+
+        For many masks at once, index :func:`subset_keys` instead.
+        """
         return sep.join(self.members(mask))
 
     def nonempty_masks(self) -> range:
@@ -100,6 +107,37 @@ class AxiomSet:
 def mask_of(axioms: AxiomSet, names: Iterable[str]) -> int:
     """Module-level alias for :meth:`AxiomSet.mask_of`."""
     return axioms.mask_of(names)
+
+
+# The key tables hold 2**J strings (about 100 MB at J = 20), so they are built
+# on first bulk use only and few are kept.
+
+
+@lru_cache(maxsize=2)
+def subset_keys(labels: tuple[str, ...]) -> tuple[str, ...]:
+    """Canonical key of every mask: ``subset_keys(labels)[m] == "+".join(members(m))``.
+
+    Entry 0 (the empty subset) is ``""``.
+    """
+    keys = [""]
+    for label in labels:
+        keys += [key + "+" + label if key else label for key in keys]
+    return tuple(keys)
+
+
+@lru_cache(maxsize=2)
+def subset_masks(labels: tuple[str, ...]) -> dict[str, int]:
+    """Canonical key -> mask for the non-empty subsets (inverse of subset_keys).
+
+    The dict is cached and shared between callers: do not modify it.
+    """
+    keys = subset_keys(labels)
+    return dict(zip(keys[1:], range(1, len(keys))))
+
+
+def subset_map(axioms: AxiomSet, values: np.ndarray) -> dict[str, float]:
+    """Per-subset values keyed by canonical subset key, non-empty subsets in mask order."""
+    return dict(zip(subset_keys(axioms.labels)[1:], values[1:].tolist()))
 
 
 def subset_vector(axioms: AxiomSet, values: Sequence[float] | np.ndarray) -> np.ndarray:

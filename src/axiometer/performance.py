@@ -17,7 +17,7 @@ would silently weight the capacity by negative "probabilities".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -152,8 +152,13 @@ def rank(
     for name, c in named:
         if c.axioms.labels != axioms.labels:
             raise SchemaError(f"collection {name!r} uses a different axiom set")
-    values = [evaluate(cap, c, measure, tol).value for _, c in named]
-    order = sorted(range(len(named)), key=lambda i: (-values[i], i))
+    return rank_values([(name, evaluate(cap, c, measure, tol).value) for name, c in named])
+
+
+def rank_values(named_values: Sequence[tuple[str, float]]) -> list[RankedEntry]:
+    """Order named measure values, descending, with the tie rule of :func:`rank`."""
+    values = [value for _, value in named_values]
+    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
     ranked: list[RankedEntry] = []
     group: list[int] = []
     group_head = None
@@ -161,7 +166,9 @@ def rank(
     def flush():
         start_rank = len(ranked) + 1
         for i in sorted(group):
-            ranked.append(RankedEntry(name=named[i][0], value=values[i], rank=start_rank))
+            ranked.append(
+                RankedEntry(name=named_values[i][0], value=values[i], rank=start_rank)
+            )
 
     for i in order:
         if group_head is None or values[i] < group_head - TIE_TOL:

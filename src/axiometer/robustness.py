@@ -23,7 +23,7 @@ from .collections import (
     require_member,
 )
 from .errors import AlignmentError, ParseError, RangeError, SchemaError, WeightError
-from .lattice import AxiomSet
+from .lattice import AxiomSet, subset_map
 from .performance import evaluate
 
 BETTER = "better"
@@ -215,7 +215,7 @@ def compare_min_vs_max(
 
 
 def family_from_json(data: dict) -> CollectionFamily:
-    from .collections import _axioms_from_json, _subset_map_from_json
+    from .collections import _axioms_from_json, _subset_array_from_json
 
     if not isinstance(data, dict):
         raise ParseError("family document must be a JSON object")
@@ -241,10 +241,7 @@ def family_from_json(data: dict) -> CollectionFamily:
                 raise ParseError("embedded collection uses a different axiom set")
             members.append(member)
             continue
-        values = _subset_map_from_json(axioms, entry, "collections[]")
-        p = np.ones(axioms.n_masks)
-        for mask, val in values.items():
-            p[mask] = val
+        p = _subset_array_from_json(axioms, entry, "collections[]", 1.0)
         try:
             members.append(Collection(axioms=axioms, p=p))
         except RangeError as exc:
@@ -256,11 +253,5 @@ def family_to_json(fam: CollectionFamily) -> dict:
     return {
         "axioms": list(fam.axioms.labels),
         "models": list(fam.model_names),
-        "collections": [
-            {
-                fam.axioms.subset_key(m): float(c.p[m])
-                for m in fam.axioms.nonempty_masks()
-            }
-            for c in fam.members
-        ],
+        "collections": [subset_map(fam.axioms, c.p) for c in fam.members],
     }

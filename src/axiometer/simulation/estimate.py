@@ -25,7 +25,7 @@ import numpy as np
 
 from ..collections import Collection
 from ..errors import ParseError, RangeError, SizeError
-from ..lattice import AxiomSet, zeta_superset
+from ..lattice import AxiomSet, subset_map, zeta_superset
 from .axioms import (
     PUNCTUAL_TAGS,
     RELATIONAL_TAGS,
@@ -440,10 +440,7 @@ def estimated_to_json(est: EstimatedCollection) -> dict:
     axioms = est.collection.axioms
     doc["N"] = est.n_samples
     doc["seed"] = est.seed
-    doc["stderr"] = {
-        axioms.subset_key(mask): float(est.stderr[mask])
-        for mask in axioms.nonempty_masks()
-    }
+    doc["stderr"] = subset_map(axioms, est.stderr)
     return doc
 
 
@@ -454,7 +451,7 @@ def estimated_from_json(data: dict) -> EstimatedCollection:
     other's superset zeta/Moebius images); the sampler tag is not part of the
     schema and comes back as "unknown".
     """
-    from ..collections import _subset_map_from_json, collection_from_json
+    from ..collections import _subset_array_from_json, collection_from_json
     from ..lattice import moebius_superset
 
     if not isinstance(data, dict):
@@ -470,10 +467,7 @@ def estimated_from_json(data: dict) -> EstimatedCollection:
         raise ParseError('"N" must be >= 1')
     collection = collection_from_json({"axioms": data["axioms"], "p": data["p"]})
     axioms = collection.axioms
-    stderr_map = _subset_map_from_json(axioms, data["stderr"], "stderr")
-    stderr = np.zeros(axioms.n_masks)
-    for mask, val in stderr_map.items():
-        stderr[mask] = val
+    stderr = _subset_array_from_json(axioms, data["stderr"], "stderr", 0.0)
     subset_counts = np.rint(collection.p * n_samples).astype(np.int64)
     world_counts = np.rint(
         moebius_superset(subset_counts.astype(np.float64))

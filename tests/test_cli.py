@@ -271,3 +271,38 @@ def test_table_output_renders_six_decimals(files, capsys):
     assert main(["incompat", path]) == 0
     out = capsys.readouterr().out
     assert "0.525000" in out
+
+
+class TestPerfWorksOnce:
+    def test_each_collection_is_evaluated_once(self, files, monkeypatch):
+        import axiometer.cli as cli
+
+        calls = []
+        evaluate = cli.evaluate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", counting)
+        write, _ = files
+        cap = write("u.json", capacity_to_json(capacity3(SYNERGY_U)))
+        paths = [write("steady.json", collection_doc(STEADY_P)),
+                 write("spiky.json", collection_doc(SPIKY_P))]
+        for fmt in ("json", "table"):
+            calls.clear()
+            assert main(["perf", cap, *paths, "--format", fmt]) == 0
+            assert len(calls) == 2
+
+    def test_json_output_builds_no_table(self, files, monkeypatch, capsys):
+        import axiometer.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("table built for JSON output")
+
+        monkeypatch.setattr(cli, "_presentation_masks", refuse)
+        write, _ = files
+        cap = write("u.json", capacity_to_json(capacity3(SYNERGY_U)))
+        path = write("steady.json", collection_doc(STEADY_P))
+        assert main(["perf", cap, path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ranking"][0]["name"] == "steady"
