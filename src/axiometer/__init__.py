@@ -81,7 +81,6 @@ from .performance import (
     perf_moebius,
     perf_weighted_sum,
     rank,
-    rank_values,
 )
 from .robustness import (
     CollectionFamily,

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .incompatibility import banzhaf, shapley
 from .lattice import popcounts, subset_keys, subset_map
-from .performance import MEASURE_TAGS, evaluate, rank_values
+from .performance import MEASURE_TAGS, evaluate, rank_values, require_one_axiom_set
 from .robustness import (
     CRITERION_TAGS,
     alpha_maxmin_score,
@@ -165,6 +165,7 @@ def cmd_perf(args) -> int:
         (name, collection_from_json(_load_json(path)))
         for name, path in zip(names, args.collections)
     ]
+    require_one_axiom_set(entries)
     try:
         results = [evaluate(cap, c, args.measure, args.tol) for _, c in entries]
     except InfeasibleCollectionError as exc:

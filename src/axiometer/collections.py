@@ -17,6 +17,7 @@ rejected at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .errors import (
 from .lattice import (
     AxiomSet,
     moebius_superset,
+    subset_keys,
     subset_map,
     subset_masks,
     subset_vector,
@@ -322,10 +324,9 @@ def _axioms_from_json(data: object) -> AxiomSet:
         raise ParseError(f"bad axiom list: {exc}") from exc
 
 
-def _checked_items(
-    axioms: AxiomSet, mapping: dict, table: dict[str, int]
-) -> tuple[list[int], list[float]]:
+def _checked_items(axioms: AxiomSet, mapping: dict) -> tuple[list[int], list[float]]:
     """Masks and values of a subset map, raising on the first bad item in order."""
+    table = subset_masks(axioms.labels)
     masks: list[int] = []
     values: list[float] = []
     seen: set[int] = set()
@@ -354,29 +355,36 @@ def _subset_array_from_json(
 ) -> np.ndarray:
     """Dense per-subset array of a subset map, with ``empty`` at mask 0.
 
-    A map of canonical keys and float values is read in bulk through the key
-    table; any other map takes the item-by-item path, which resolves other key
-    spellings and reports the first bad item in document order.
+    A map of exactly the canonical keys with float values is read in mask
+    order by looking each canonical key up in the map; any other map takes the
+    item-by-item path, which resolves other key spellings and reports the
+    first bad item in document order.
     """
     if not isinstance(mapping, dict):
         raise ParseError(f'"{what}" must be an object keyed by subsets')
-    table = subset_masks(axioms.labels)
-    if mapping.keys() <= table.keys() and set(map(type, mapping.values())) <= {float}:
-        # distinct canonical keys name distinct subsets: nothing else to check
-        masks = np.fromiter(map(table.__getitem__, mapping), np.intp, len(mapping))
-        values = np.fromiter(mapping.values(), np.float64, len(mapping))
-    else:
-        masks, values = _checked_items(axioms, mapping, table)
+    keys = subset_keys(axioms.labels)
+    n = len(keys) - 1
     arr = np.empty(axioms.n_masks)
     arr[0] = empty
-    arr[masks] = values
-    if len(masks) < axioms.n_masks - 1:
-        given = np.zeros(axioms.n_masks, dtype=bool)
-        given[masks] = True
-        missing = np.flatnonzero(~given[1:]) + 1
-        names = ", ".join(axioms.subset_key(int(m)) for m in missing[:4])
-        more = "" if len(missing) <= 4 else f" (+{len(missing) - 4} more)"
-        raise ParseError(f'"{what}" is missing subsets: {names}{more}')
+    if (
+        len(mapping) == n
+        and set(map(type, mapping.values())) <= {float}
+        and all(map(mapping.__contains__, islice(keys, 1, None)))
+    ):
+        # every subset given once, as a float: nothing else to check
+        arr[1:] = np.fromiter(
+            map(mapping.__getitem__, islice(keys, 1, None)), np.float64, n
+        )
+    else:
+        masks, values = _checked_items(axioms, mapping)
+        arr[masks] = values
+        if len(masks) < n:
+            given = np.zeros(axioms.n_masks, dtype=bool)
+            given[masks] = True
+            missing = np.flatnonzero(~given[1:]) + 1
+            names = ", ".join(axioms.subset_key(int(m)) for m in missing[:4])
+            more = "" if len(missing) <= 4 else f" (+{len(missing) - 4} more)"
+            raise ParseError(f'"{what}" is missing subsets: {names}{more}')
     finite = np.isfinite(arr)
     if not finite.all():
         bad = int(np.argmin(finite))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -109,35 +110,37 @@ def mask_of(axioms: AxiomSet, names: Iterable[str]) -> int:
     return axioms.mask_of(names)
 
 
-# The key tables hold 2**J strings (about 100 MB at J = 20), so they are built
-# on first bulk use only and few are kept.
+# The key table holds 2**J strings (about 90 MB at J = 20), so it is built on
+# first bulk use only and few are kept.
 
 
 @lru_cache(maxsize=2)
-def subset_keys(labels: tuple[str, ...]) -> tuple[str, ...]:
+def subset_keys(labels: tuple[str, ...]) -> list[str]:
     """Canonical key of every mask: ``subset_keys(labels)[m] == "+".join(members(m))``.
 
-    Entry 0 (the empty subset) is ``""``.
+    Entry 0 (the empty subset) is ``""``. The list is cached and shared between
+    callers: do not modify it, and iterate it rather than slice it (a slice
+    copies 2**J pointers).
     """
     keys = [""]
     for label in labels:
         keys += [key + "+" + label if key else label for key in keys]
-    return tuple(keys)
+    return keys
 
 
-@lru_cache(maxsize=2)
 def subset_masks(labels: tuple[str, ...]) -> dict[str, int]:
     """Canonical key -> mask for the non-empty subsets (inverse of subset_keys).
 
-    The dict is cached and shared between callers: do not modify it.
+    Built afresh on each call (it adds about 60 MB at J = 20), so it lives
+    only as long as its caller needs it.
     """
     keys = subset_keys(labels)
-    return dict(zip(keys[1:], range(1, len(keys))))
+    return dict(zip(islice(keys, 1, None), range(1, len(keys))))
 
 
 def subset_map(axioms: AxiomSet, values: np.ndarray) -> dict[str, float]:
     """Per-subset values keyed by canonical subset key, non-empty subsets in mask order."""
-    return dict(zip(subset_keys(axioms.labels)[1:], values[1:].tolist()))
+    return dict(zip(islice(subset_keys(axioms.labels), 1, None), values[1:].tolist()))
 
 
 def subset_vector(axioms: AxiomSet, values: Sequence[float] | np.ndarray) -> np.ndarray:

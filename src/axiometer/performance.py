@@ -146,13 +146,18 @@ def rank(
     and keep their input order.
     """
     named = list(entries)
+    require_one_axiom_set(named)
+    return rank_values([(name, evaluate(cap, c, measure, tol).value) for name, c in named])
+
+
+def require_one_axiom_set(named: Sequence[tuple[str, Collection]]) -> None:
+    """Raise SchemaError unless every named collection uses the first one's axioms."""
     if not named:
-        return []
+        return
     axioms = named[0][1].axioms
     for name, c in named:
         if c.axioms.labels != axioms.labels:
             raise SchemaError(f"collection {name!r} uses a different axiom set")
-    return rank_values([(name, evaluate(cap, c, measure, tol).value) for name, c in named])
 
 
 def rank_values(named_values: Sequence[tuple[str, float]]) -> list[RankedEntry]:

@@ -306,3 +306,12 @@ class TestPerfWorksOnce:
         path = write("steady.json", collection_doc(STEADY_P))
         assert main(["perf", cap, path, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["ranking"][0]["name"] == "steady"
+
+    def test_axiom_sets_are_checked_before_any_evaluation(self, files, capsys):
+        write, _ = files
+        cap = write("u.json", capacity_to_json(capacity3(SYNERGY_U)))
+        bad = write("bad.json", collection_doc(FLAT_P))
+        other = write("other.json", {"axioms": ["b1", "b2"],
+                                     "p": {"b1": 1.0, "b2": 1.0, "b1+b2": 1.0}})
+        assert main(["perf", cap, bad, other]) == 2
+        assert "'other' uses a different axiom set" in capsys.readouterr().err
