@@ -61,7 +61,6 @@ from .incompatibility import (
     to_game,
 )
 from .lattice import (
-    BACKEND,
     MAX_AXIOMS,
     AxiomSet,
     mask_of,

@@ -66,12 +66,16 @@ def _presentation_masks(axioms):
 
 def _load_json(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # malformed JSON and over-long integer literals raise ValueError, nesting
+    # deeper than the recursion limit raises RecursionError
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -84,7 +88,10 @@ def _emit(args, payload, table) -> None:
         if not text.endswith("\n"):
             text += "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -325,11 +332,20 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return seed
+
+
 def _add_common(parser, default_format="table"):
     parser.add_argument("--tol", type=_tolerance, default=1e-9, help="feasibility tolerance")
     parser.add_argument("--format", choices=("json", "table"), default=default_format)
     parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument("--seed", type=int, default=None, help="override the experiment seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="estimate a collection for a voting rule")
     p.add_argument("experiment")
     p.add_argument("--exact", action="store_true", help="enumerate instead of sampling")
+    p.add_argument("--seed", type=_seed, default=None, help="override the experiment seed")
     _add_common(p, default_format="json")
     p.set_defaults(handler=cmd_simulate)
 

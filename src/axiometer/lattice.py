@@ -6,8 +6,9 @@ arrays of length ``2**J`` indexed by mask, entry 0 being the empty set, so one
 carrier type serves satisfaction collections, contribution weights, capacities
 and games alike.  The four transforms below convert between a set function and
 its additive coefficients for the superset or subset order; each runs in
-O(J * 2**J) via in-place per-bit sweeps (compiled kernels when built, numpy
-otherwise — see :mod:`axiometer._kernels`).
+O(J * 2**J) via in-place per-bit sweeps.  The sweeps reshape the array so that
+bit b is the middle axis: ``v[:, 0, :]`` are the masks without b and
+``v[:, 1, :]`` the masks with b.
 """
 
 from __future__ import annotations
@@ -19,14 +20,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import DuplicateAxiomError, RangeError, UnknownAxiomError
 
 #: Hard cap on the number of axioms: arrays have 2**J entries.
 MAX_AXIOMS = 20
-
-#: Name of the kernel backend selected at import ("cython" or "numpy").
-BACKEND = _kernels.BACKEND
 
 
 @dataclass(frozen=True)
@@ -165,7 +162,9 @@ def _prepare(values: np.ndarray | Sequence[float]) -> tuple[np.ndarray, int]:
 def zeta_superset(values) -> np.ndarray:
     """Return x with x[S] = sum over T >= S (superset order) of values[T]."""
     arr, j = _prepare(values)
-    _kernels.zeta_superset_(arr, j)
+    for b in range(j):
+        v = arr.reshape(-1, 2, 1 << b)
+        v[:, 0, :] += v[:, 1, :]
     return arr
 
 
@@ -175,14 +174,18 @@ def moebius_superset(values) -> np.ndarray:
     Exact inverse of :func:`zeta_superset`.
     """
     arr, j = _prepare(values)
-    _kernels.moebius_superset_(arr, j)
+    for b in range(j):
+        v = arr.reshape(-1, 2, 1 << b)
+        v[:, 0, :] -= v[:, 1, :]
     return arr
 
 
 def zeta_subset(values) -> np.ndarray:
     """Return x with x[S] = sum over T <= S (subset order) of values[T]."""
     arr, j = _prepare(values)
-    _kernels.zeta_subset_(arr, j)
+    for b in range(j):
+        v = arr.reshape(-1, 2, 1 << b)
+        v[:, 1, :] += v[:, 0, :]
     return arr
 
 
@@ -192,7 +195,9 @@ def moebius_subset(values) -> np.ndarray:
     Exact inverse of :func:`zeta_subset`.
     """
     arr, j = _prepare(values)
-    _kernels.moebius_subset_(arr, j)
+    for b in range(j):
+        v = arr.reshape(-1, 2, 1 << b)
+        v[:, 1, :] -= v[:, 0, :]
     return arr
 
 

@@ -92,6 +92,24 @@ class EvaluatedProfiles:
             self._tallies = pairwise_tallies(self.counts, self.space)
         return self._tallies
 
+    def pairs(self, block: slice) -> tuple["EvaluatedProfiles", "EvaluatedProfiles"]:
+        """Row-aligned batches pairing each profile of ``block`` with every profile.
+
+        Row ``i * K + k`` pairs the i-th profile of ``block`` with profile k, K
+        being the number of profiles.  The pair batches carry the winners over
+        instead of recounting ballots.
+        """
+        rankings, winners = self.rankings[block], self.winners[block]
+        b, k = rankings.shape[0], self.rankings.shape[0]
+        first = self._carrying(np.repeat(rankings, k, axis=0), np.repeat(winners, k))
+        second = self._carrying(np.tile(self.rankings, (b, 1)), np.tile(self.winners, b))
+        return first, second
+
+    def _carrying(self, rankings: np.ndarray, winners: np.ndarray) -> "EvaluatedProfiles":
+        ev = EvaluatedProfiles(self.rule, rankings, self.m, self.n)
+        ev._winners = winners
+        return ev
+
 
 def punctual_batch(predicate: str, ev: EvaluatedProfiles) -> np.ndarray:
     """Truth value of a punctual axiom on every profile of the batch."""

@@ -81,6 +81,29 @@ def _battery(axioms: Sequence[AxiomSpec]) -> tuple[AxiomSet, int]:
     return axiom_set, max(ax.arity for ax in axioms)
 
 
+def _punctual_worlds(
+    axioms: Sequence[AxiomSpec], ev: EvaluatedProfiles, worlds: np.ndarray
+) -> np.ndarray:
+    """OR the bits of the punctual axioms on every profile of ``ev`` into ``worlds``."""
+    for bit, ax in enumerate(axioms):
+        if ax.kind == "punctual":
+            worlds |= punctual_batch(ax.predicate, ev).astype(np.int64) << bit
+    return worlds
+
+
+def _relational_worlds(
+    axioms: Sequence[AxiomSpec],
+    ev1: EvaluatedProfiles,
+    ev2: EvaluatedProfiles,
+    worlds: np.ndarray,
+) -> np.ndarray:
+    """OR the bits of the relational axioms on every row-aligned pair into ``worlds``."""
+    for bit, ax in enumerate(axioms):
+        if ax.kind == "relational":
+            worlds |= relational_batch(ax.predicate, ev1, ev2).astype(np.int64) << bit
+    return worlds
+
+
 def _worlds(
     rule: VotingRule,
     axioms: Sequence[AxiomSpec],
@@ -89,18 +112,10 @@ def _worlds(
     n: int,
 ) -> np.ndarray:
     """World mask for every tuple of a (B, K, n) ranking array."""
-    evs = [
-        EvaluatedProfiles(rule, rankings[:, k, :], m, n)
-        for k in range(rankings.shape[1])
-    ]
-    worlds = np.zeros(rankings.shape[0], dtype=np.int64)
-    for bit, ax in enumerate(axioms):
-        if ax.kind == "punctual":
-            sat = punctual_batch(ax.predicate, evs[0])
-        else:
-            sat = relational_batch(ax.predicate, evs[0], evs[1])
-        worlds |= sat.astype(np.int64) << bit
-    return worlds
+    # with K = 1 no axiom is relational, so ``last`` is never evaluated
+    first, last = (EvaluatedProfiles(rule, rankings[:, k, :], m, n) for k in (0, -1))
+    worlds = _punctual_worlds(axioms, first, np.zeros(rankings.shape[0], dtype=np.int64))
+    return _relational_worlds(axioms, first, last, worlds)
 
 
 def estimate_collection(
@@ -188,6 +203,44 @@ def _profile_weights(rankings: np.ndarray, pmf: np.ndarray) -> np.ndarray:
     return pmf[rankings].prod(axis=1)
 
 
+def _exact_worlds(
+    rule: VotingRule, axioms: Sequence[AxiomSpec], m: int, n: int, chunk_size: int
+):
+    """Yield ``(first, worlds)`` blocks that cover every tuple of profiles once.
+
+    ``first`` is a block of first profiles as (B, n) ranking indices and
+    ``worlds[i, k]`` is the world of ``first[i]`` paired with the second
+    profile of id k.  When no axiom is relational, no axiom reads a second
+    profile and ``worlds`` has a single column.  Punctual axioms are evaluated
+    once per profile; the pairs are built by repeat and tile and reuse the
+    winners of the profiles they pair.
+    """
+    n_profiles = math.factorial(m) ** n
+    if all(ax.kind == "punctual" for ax in axioms):
+        for start in range(0, n_profiles, chunk_size):
+            first = _decode_profiles(np.arange(start, min(start + chunk_size, n_profiles)), m, n)
+            ev = EvaluatedProfiles(rule, first, m, n)
+            worlds = _punctual_worlds(axioms, ev, np.zeros(len(first), dtype=np.int64))
+            yield first, worlds[:, None]
+        return
+    profiles = EvaluatedProfiles(rule, _decode_profiles(np.arange(n_profiles), m, n), m, n)
+    punctual = _punctual_worlds(axioms, profiles, np.zeros(n_profiles, dtype=np.int64))
+    rows = chunk_size // n_profiles + 1
+    for start in range(0, n_profiles, rows):
+        block = slice(start, start + rows)
+        worlds = np.repeat(punctual[block, None], n_profiles, axis=1)
+        _relational_worlds(axioms, *profiles.pairs(block), worlds.reshape(-1))
+        yield profiles.rankings[block], worlds
+
+
+def _second_weights(width: int, m: int, n: int, pmf: np.ndarray) -> np.ndarray:
+    """Weights of the columns of an exact world block: one column stands for
+    every second profile (total mass 1), otherwise column k is profile k."""
+    if width == 1:
+        return np.ones(1)
+    return _profile_weights(_decode_profiles(np.arange(width), m, n), pmf)
+
+
 def enumerate_collection(
     rule: VotingRule,
     axioms: Sequence[AxiomSpec],
@@ -209,69 +262,20 @@ def enumerate_collection(
     # under a uniform sampler, count tuples exactly and divide once at the
     # end: every probability is then a correctly rounded rational
     uniform = bool(np.all(pmf == pmf[0]))
-    n_profiles = math.factorial(m) ** n
     weighted = np.zeros(axiom_set.n_masks)
-    if tuple_width == 1:
-        for start in range(0, n_profiles, chunk_size):
-            ids = np.arange(start, min(start + chunk_size, n_profiles))
-            rankings = _decode_profiles(ids, m, n)
-            worlds = _worlds(rule, axioms, rankings[:, None, :], m, n)
-            chunk_weights = None if uniform else _profile_weights(rankings, pmf)
-            weighted += np.bincount(
-                worlds, weights=chunk_weights, minlength=axiom_set.n_masks
-            )
-    else:
-        rankings = _decode_profiles(np.arange(n_profiles), m, n)
-        weights = _profile_weights(rankings, pmf)
-        first = EvaluatedProfiles(rule, rankings, m, n)
-        punctual_worlds = np.zeros(n_profiles, dtype=np.int64)
-        relational = []
-        for bit, ax in enumerate(axioms):
-            if ax.kind == "punctual":
-                punctual_worlds |= punctual_batch(ax.predicate, first).astype(np.int64) << bit
-            else:
-                relational.append((bit, ax))
-        pair_chunk = max(1, chunk_size // n_profiles + 1)
-        for start in range(0, n_profiles, pair_chunk):
-            rows = np.arange(start, min(start + pair_chunk, n_profiles))
-            worlds = np.repeat(punctual_worlds[rows, None], n_profiles, axis=1)
-            ev1 = _Tiled(first, rows, n_profiles)
-            ev2 = _Tiled(first, None, rows.shape[0])
-            for bit, ax in relational:
-                sat = relational_batch(ax.predicate, ev1, ev2)
-                worlds |= sat.astype(np.int64).reshape(rows.shape[0], n_profiles) << bit
-            if uniform:
-                pair_weights = None
-            else:
-                pair_weights = (weights[rows][:, None] * weights[None, :]).ravel()
-            weighted += np.bincount(
-                worlds.ravel(), weights=pair_weights, minlength=axiom_set.n_masks
-            )
+    second = None
+    for first, worlds in _exact_worlds(rule, axioms, m, n, chunk_size):
+        weights = None
+        if not uniform:
+            if second is None:
+                second = _second_weights(worlds.shape[1], m, n, pmf)
+            weights = np.outer(_profile_weights(first, pmf), second).ravel()
+        weighted += np.bincount(worlds.ravel(), weights=weights, minlength=axiom_set.n_masks)
     p = zeta_superset(weighted)
     p /= p[0]
     np.clip(p, 0.0, 1.0, out=p)
     p[0] = 1.0
     return Collection(axioms=axiom_set, p=p)
-
-
-class _Tiled:
-    """View of an EvaluatedProfiles batch tiled over pairs (rows x all).
-
-    ``rows=None`` tiles the full batch ``repeats`` times (the second pair
-    coordinate); otherwise each selected row is repeated ``repeats`` times
-    (the first coordinate).  Reuses the parent's winner cache.
-    """
-
-    def __init__(self, parent: EvaluatedProfiles, rows, repeats: int):
-        self.space = parent.space
-        self.m = parent.m
-        self.n = parent.n
-        if rows is None:
-            self.rankings = np.tile(parent.rankings, (repeats, 1))
-            self.winners = np.tile(parent.winners, repeats)
-        else:
-            self.rankings = np.repeat(parent.rankings[rows], repeats, axis=0)
-            self.winners = np.repeat(parent.winners[rows], repeats)
 
 
 def dominance_check(
@@ -293,45 +297,13 @@ def dominance_check(
     check_problem_size(m, n)
     axiom_set, tuple_width = _battery(axioms)
     _guard(m, n, tuple_width)
-    n_profiles = math.factorial(m) ** n
-    pair_codes: set[int] = set()
     j = axiom_set.size
-
-    if tuple_width == 1:
-        for start in range(0, n_profiles, chunk_size):
-            ids = np.arange(start, min(start + chunk_size, n_profiles))
-            rankings = _decode_profiles(ids, m, n)[:, None, :]
-            wf = _worlds(rule_f, axioms, rankings, m, n)
-            wg = _worlds(rule_g, axioms, rankings, m, n)
-            pair_codes.update(np.unique((wg << j) | wf).tolist())
-    else:
-        rankings = _decode_profiles(np.arange(n_profiles), m, n)
-        evaluated = {}
-        punctual_worlds = {}
-        for rule in (rule_f, rule_g):
-            ev = EvaluatedProfiles(rule, rankings, m, n)
-            pw = np.zeros(n_profiles, dtype=np.int64)
-            for bit, ax in enumerate(axioms):
-                if ax.kind == "punctual":
-                    pw |= punctual_batch(ax.predicate, ev).astype(np.int64) << bit
-            evaluated[rule.name] = ev
-            punctual_worlds[rule.name] = pw
-        relational = [(b, ax) for b, ax in enumerate(axioms) if ax.kind == "relational"]
-        pair_chunk = max(1, chunk_size // n_profiles + 1)
-        for start in range(0, n_profiles, pair_chunk):
-            rows = np.arange(start, min(start + pair_chunk, n_profiles))
-            worlds = {}
-            for rule in (rule_f, rule_g):
-                ev = evaluated[rule.name]
-                w = np.repeat(punctual_worlds[rule.name][rows, None], n_profiles, axis=1)
-                ev1 = _Tiled(ev, rows, n_profiles)
-                ev2 = _Tiled(ev, None, rows.shape[0])
-                for bit, ax in relational:
-                    sat = relational_batch(ax.predicate, ev1, ev2)
-                    w |= sat.astype(np.int64).reshape(rows.shape[0], n_profiles) << bit
-                worlds[rule.name] = w
-            codes = (worlds[rule_g.name] << j) | worlds[rule_f.name]
-            pair_codes.update(np.unique(codes).tolist())
+    pair_codes: set[int] = set()
+    for (_, wf), (_, wg) in zip(
+        _exact_worlds(rule_f, axioms, m, n, chunk_size),
+        _exact_worlds(rule_g, axioms, m, n, chunk_size),
+    ):
+        pair_codes.update(np.unique((wg << j) | wf).tolist())
 
     masks = np.arange(axiom_set.n_masks)
     violated = np.zeros(axiom_set.n_masks, dtype=bool)

@@ -315,3 +315,45 @@ class TestPerfWorksOnce:
                                      "p": {"b1": 1.0, "b2": 1.0, "b1+b2": 1.0}})
         assert main(["perf", cap, bad, other]) == 2
         assert "'other' uses a different axiom set" in capsys.readouterr().err
+
+
+def exit_code(argv) -> int:
+    """Exit code of ``main(argv)``, whether it returns or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestBadInputExitsTwo:
+    """Input and usage errors exit 2 with an ``error:`` line, never a traceback."""
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"axioms": ["a\xff"], "p": {}}')
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nesting_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["incompat", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_into_a_missing_directory(self, files, capsys):
+        write, tmp_path = files
+        path = write("c.json", collection_doc(BASELINE_P))
+        out = tmp_path / "missing" / "report.txt"
+        assert main(["validate", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+
+    def test_negative_seed(self, files, capsys):
+        write, _ = files
+        assert exit_code(["simulate", write("exp.json", experiment_doc()), "--seed", "-1"]) == 2
+        assert "error: argument --seed" in capsys.readouterr().err
+
+    def test_seed_is_a_simulate_flag_only(self, files, capsys):
+        write, _ = files
+        path = write("c.json", collection_doc(BASELINE_P))
+        assert exit_code(["validate", path, "--seed", "7"]) == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err

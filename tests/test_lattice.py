@@ -1,9 +1,5 @@
 """Subset encoding and transform kernels against naive quadratic oracles."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +16,6 @@ from axiometer import (
     zeta_subset,
     zeta_superset,
 )
-from axiometer._kernels import available_backends
 from axiometer.lattice import popcounts
 
 from conftest import (
@@ -173,30 +168,3 @@ def test_linearity(j, a, b, seed):
 def test_rejects_non_power_of_two_length():
     with pytest.raises(RangeError):
         zeta_superset(np.zeros(6))
-
-
-def test_backends_agree_on_random_vectors():
-    backends = available_backends()
-    if len(backends) < 2:
-        pytest.skip("compiled kernels not built")
-    rng = np.random.default_rng(3)
-    for j in (1, 5, 10):
-        for name in ("zeta_superset_", "moebius_superset_", "zeta_subset_", "moebius_subset_"):
-            x = rng.uniform(-1, 1, 1 << j)
-            results = []
-            for mod in backends:
-                arr = x.copy()
-                getattr(mod, name)(arr, j)
-                results.append(arr)
-            np.testing.assert_array_equal(results[0], results[1])
-
-
-def test_pure_fallback_env_selects_numpy_backend():
-    code = "import axiometer; print(axiometer.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "AXIOMETER_PURE": "1"},
-    )
-    assert out.stdout.strip() == "numpy"

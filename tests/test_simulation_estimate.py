@@ -188,10 +188,18 @@ class TestEnumerate:
         with pytest.raises(SizeError):
             enumerate_collection(PLURALITY, MIXED_TRIPLE, 4, 4)
 
-    def test_chunking_invariant(self):
-        a = enumerate_collection(PLURALITY, MIXED_TRIPLE, 3, 2)
-        b = enumerate_collection(PLURALITY, MIXED_TRIPLE, 3, 2, chunk_size=17)
-        np.testing.assert_allclose(a.p, b.p, atol=1e-12)
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("axioms", [PUNCTUAL_PAIR, MIXED_TRIPLE], ids=["punctual", "mixed"])
+    @pytest.mark.parametrize("sampler", [ImpartialCulture(), Mallows(0.5, (0, 1, 2))],
+                             ids=["ic", "mallows"])
+    def test_chunking_invariant(self, axioms, sampler, n):
+        whole = enumerate_collection(PLURALITY, axioms, 3, n, sampler)
+        for chunk_size in (1, 17):
+            chunked = enumerate_collection(PLURALITY, axioms, 3, n, sampler, chunk_size)
+            if isinstance(sampler, ImpartialCulture):  # exact tuple counts
+                np.testing.assert_array_equal(chunked.p, whole.p)
+            else:
+                np.testing.assert_allclose(chunked.p, whole.p, rtol=0, atol=1e-12)
 
 
 class TestConvergence:
@@ -263,6 +271,16 @@ class TestDominance:
     def test_size_guard(self):
         with pytest.raises(SizeError):
             dominance_check(PLURALITY, BORDA, MIXED_TRIPLE, 5, 3)
+
+    # sizes at which some subsets are dominated and some are not
+    @pytest.mark.parametrize("axioms, n", [(PUNCTUAL_PAIR, 3), (MIXED_TRIPLE, 2)],
+                             ids=["punctual", "mixed"])
+    def test_chunking_invariant(self, axioms, n):
+        whole = dominance_check(PLURALITY, BORDA, axioms, 3, n)
+        assert whole.per_mask.any() and not whole.per_mask.all()
+        for chunk_size in (1, 17):
+            chunked = dominance_check(PLURALITY, BORDA, axioms, 3, n, chunk_size)
+            np.testing.assert_array_equal(chunked.per_mask, whole.per_mask)
 
 
 class TestExperimentJson:
