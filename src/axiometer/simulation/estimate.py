@@ -353,10 +353,12 @@ def _sampler_from_json(data: object):
         phi, sigma = data["phi"], data["sigma"]
         if isinstance(phi, bool) or not isinstance(phi, (int, float)):
             raise ParseError(f'"phi" must be a number, got {phi!r}')
-        if not isinstance(sigma, list) or not all(isinstance(x, int) for x in sigma):
+        if not isinstance(sigma, list) or any(type(x) is not int for x in sigma):
             raise ParseError('"sigma" must be a list of candidate indices')
         try:
             return Mallows(phi=float(phi), sigma=tuple(sigma))
+        except OverflowError:  # float(phi) of an integer beyond float range
+            raise ParseError('"phi" must be in (0, 1]') from None
         except RangeError as exc:
             raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown sampler kind {kind!r}")
@@ -390,8 +392,7 @@ def experiment_from_json(data: dict) -> ExperimentSpec:
     sampler = _sampler_from_json(data["sampler"])
     try:
         check_problem_size(data["m"], data["n"])
-        if isinstance(sampler, Mallows):
-            sampler.ranking_pmf(data["m"])
+        sampler.ranking_pmf(data["m"])
     except RangeError as exc:
         raise ParseError(str(exc)) from exc
     return ExperimentSpec(

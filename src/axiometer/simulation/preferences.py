@@ -2,10 +2,12 @@
 
 Rankings are strict total orders over ``m`` candidates, encoded as indices
 into the lexicographic enumeration of all m! permutations.  A profile is one
-ranking per voter.  Two samplers are provided: impartial culture (uniform
-i.i.d. rankings) and the Mallows model, drawn by repeated insertion so that
-the probability of a ranking is proportional to phi ** (Kendall tau distance
-to the reference ranking).
+ranking per voter.  A sampler is its distribution over rankings: it states
+``ranking_pmf(m)`` (at most 5! = 120 entries) and draws i.i.d. ranking
+indices from it, one per voter.  Two samplers are provided: impartial
+culture (uniform rankings) and the Mallows model, under which the
+probability of a ranking is proportional to phi ** (Kendall tau distance to
+the reference ranking).
 """
 
 from __future__ import annotations
@@ -132,7 +134,22 @@ class Profile:
         return np.asarray(self.rankings, dtype=np.int64)
 
 
-class ImpartialCulture:
+class RankingSampler:
+    """A distribution over rankings; subclasses give ``ranking_pmf(m)``."""
+
+    def sample(self, rng: np.random.Generator, m: int, shape) -> np.ndarray:
+        """I.i.d. ranking indices drawn from ``ranking_pmf(m)``.
+
+        An exactly uniform pmf draws ``rng.integers(0, m!, shape)``; any
+        other pmf is drawn by inverse CDF.
+        """
+        pmf = self.ranking_pmf(m)
+        if (pmf == pmf[0]).all():
+            return rng.choice(pmf.size, size=shape)
+        return rng.choice(pmf.size, size=shape, p=pmf)
+
+
+class ImpartialCulture(RankingSampler):
     """Uniform i.i.d. rankings."""
 
     kind = "impartial_culture"
@@ -141,21 +158,17 @@ class ImpartialCulture:
         fact = math.factorial(m)
         return np.full(fact, 1.0 / fact)
 
-    def sample(self, rng: np.random.Generator, m: int, shape) -> np.ndarray:
-        return rng.integers(0, math.factorial(m), size=shape, dtype=np.int64)
-
     def __repr__(self):
         return "ImpartialCulture()"
 
 
 @dataclass(frozen=True)
-class Mallows:
+class Mallows(RankingSampler):
     """Mallows model with dispersion ``phi`` and reference ranking ``sigma``.
 
-    phi = 1 reduces to impartial culture; smaller phi concentrates mass near
-    the reference.  Sampling uses repeated insertion: reference items are
-    inserted one by one, slot s of t+1 receiving weight phi ** (t - s), which
-    is exactly the number of inversions the insertion creates.
+    The probability of a ranking is proportional to phi ** (its Kendall tau
+    distance to ``sigma``).  phi = 1 is impartial culture and draws the same
+    stream; smaller phi concentrates mass near the reference.
     """
 
     phi: float
@@ -171,14 +184,11 @@ class Mallows:
             raise RangeError(f"sigma must be a permutation of 0..m-1, got {sigma}")
         object.__setattr__(self, "sigma", sigma)
 
-    def _check_m(self, m: int) -> None:
+    def ranking_pmf(self, m: int) -> np.ndarray:
         if len(self.sigma) != m:
             raise RangeError(
                 f"reference ranking has {len(self.sigma)} candidates, problem has {m}"
             )
-
-    def ranking_pmf(self, m: int) -> np.ndarray:
-        self._check_m(m)
         space = perm_space(m)
         positions = space.rank[:, list(self.sigma)]
         tau = np.zeros(space.count, dtype=np.int64)
@@ -187,20 +197,3 @@ class Mallows:
                 tau += positions[:, i] > positions[:, j]
         pmf = self.phi ** tau.astype(np.float64)
         return pmf / pmf.sum()
-
-    def sample(self, rng: np.random.Generator, m: int, shape) -> np.ndarray:
-        self._check_m(m)
-        count = int(np.prod(shape)) if shape else 1
-        orders = np.empty((count, m), dtype=np.int64)
-        orders[:, 0] = self.sigma[0]
-        for t in range(1, m):
-            weights = self.phi ** (t - np.arange(t + 1, dtype=np.float64))
-            cum = np.cumsum(weights)
-            cum /= cum[-1]
-            slot = np.searchsorted(cum, rng.random(count), side="right")
-            cur = orders[:, :t].copy()
-            cols = np.arange(t + 1)[None, :]
-            src = np.clip(cols - (cols > slot[:, None]), 0, t - 1)
-            orders[:, : t + 1] = np.take_along_axis(cur, src, axis=1)
-            orders[np.arange(count), slot] = self.sigma[t]
-        return encode_rankings(orders).reshape(shape)

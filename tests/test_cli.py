@@ -352,6 +352,18 @@ class TestBadInputExitsTwo:
         assert exit_code(["simulate", write("exp.json", experiment_doc()), "--seed", "-1"]) == 2
         assert "error: argument --seed" in capsys.readouterr().err
 
+    def test_phi_beyond_float_range(self, files, capsys):
+        write, _ = files
+        sampler = {"kind": "mallows", "phi": 10**400, "sigma": [0, 1, 2]}
+        assert exit_code(["simulate", write("exp.json", experiment_doc(sampler=sampler))]) == 2
+        assert capsys.readouterr().err.startswith('error: "phi" must be in (0, 1]')
+
+    def test_boolean_in_sigma(self, files, capsys):
+        write, _ = files
+        sampler = {"kind": "mallows", "phi": 0.5, "sigma": [True, False, 2]}
+        assert exit_code(["simulate", write("exp.json", experiment_doc(sampler=sampler))]) == 2
+        assert capsys.readouterr().err.startswith('error: "sigma" must be a list')
+
     def test_seed_is_a_simulate_flag_only(self, files, capsys):
         write, _ = files
         path = write("c.json", collection_doc(BASELINE_P))

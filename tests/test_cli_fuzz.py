@@ -36,7 +36,7 @@ NUMBERS = mostly(
     st.floats(min_value=0.0, max_value=1.0),
     st.one_of(
         st.floats(min_value=-0.5, max_value=1.5),
-        st.sampled_from([math.nan, math.inf, -math.inf, 2, -1]),
+        st.sampled_from([math.nan, math.inf, -math.inf, 2, -1, 10**400]),
     ),
 )
 FLOAT_TEXT = mostly(

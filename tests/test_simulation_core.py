@@ -321,9 +321,9 @@ class TestSamplers:
         b = sampler.sample(np.random.default_rng(5), 3, (50, 2))
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("m,phi", [(3, 0.5), (4, 0.8)])
-    def test_insertion_sampler_matches_pmf(self, m, phi):
-        # chi-square of repeated-insertion samples against the closed form
+    @pytest.mark.parametrize("m,phi", [(3, 0.5), (4, 0.8), (5, 0.8)])
+    def test_mallows_sampler_matches_pmf(self, m, phi):
+        # chi-square of Mallows samples against the closed form
         from scipy import stats
 
         sampler = Mallows(phi, tuple(range(m))[::-1])
@@ -332,6 +332,16 @@ class TestSamplers:
         expected = sampler.ranking_pmf(m) * draws.shape[0]
         result = stats.chisquare(counts, expected)
         assert result.pvalue > 0.001
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_uniform_pmf_draws_the_integers_stream(self, m):
+        shape = (40, 2, 7)
+        ic = ImpartialCulture().sample(np.random.default_rng(21), m, shape)
+        flat = Mallows(1.0, tuple(range(m))).sample(np.random.default_rng(21), m, shape)
+        ref = np.random.default_rng(21).integers(0, math.factorial(m), shape, dtype=np.int64)
+        np.testing.assert_array_equal(ic, ref)
+        np.testing.assert_array_equal(flat, ref)
+        assert ic.dtype == flat.dtype == np.int64
 
     def test_mallows_phi_one_matches_impartial_culture_distribution(self):
         from scipy import stats

@@ -203,12 +203,14 @@ class TestEnumerate:
 
 
 class TestConvergence:
+    @pytest.mark.parametrize("sampler", [ImpartialCulture(), Mallows(0.5, (0, 1, 2))],
+                             ids=["ic", "mallows"])
     @pytest.mark.parametrize("samples", [1000, 10_000])
-    def test_estimates_within_four_standard_errors(self, samples):
+    def test_estimates_within_four_standard_errors(self, samples, sampler):
         for rule in (PLURALITY, COPELAND):
-            exact = enumerate_collection(rule, MIXED_TRIPLE, 3, 3)
+            exact = enumerate_collection(rule, MIXED_TRIPLE, 3, 3, sampler)
             est = estimate_collection(
-                rule, MIXED_TRIPLE, ImpartialCulture(), 3, 3, samples, seed=20240817
+                rule, MIXED_TRIPLE, sampler, 3, 3, samples, seed=20240817
             )
             bound = 4 * np.sqrt(exact.p * (1 - exact.p) / samples) + 1.0 / samples
             assert np.all(np.abs(est.collection.p - exact.p) <= bound)
