@@ -92,23 +92,25 @@ class EvaluatedProfiles:
             self._tallies = pairwise_tallies(self.counts, self.space)
         return self._tallies
 
-    def pairs(self, block: slice) -> tuple["EvaluatedProfiles", "EvaluatedProfiles"]:
-        """Row-aligned batches pairing each profile of ``block`` with every profile.
+    def deviations(self) -> tuple[np.ndarray, np.ndarray, EvaluatedProfiles, EvaluatedProfiles]:
+        """Row-aligned batches of every one-voter deviation of every profile.
 
-        Row ``i * K + k`` pairs the i-th profile of ``block`` with profile k, K
-        being the number of profiles.  The pair batches carry the winners over
-        instead of recounting ballots.
+        For each row i, each ranking r held in row i and each r' != r, the
+        second profile switches the first voter of row i holding r to r'.
+        Returns ``(row, before, first, second)``: i, r and the pair batches,
+        which carry row i's winners and count c - e_r + e_r' without recounting.
         """
-        rankings, winners = self.rankings[block], self.winners[block]
-        b, k = rankings.shape[0], self.rankings.shape[0]
-        first = self._carrying(np.repeat(rankings, k, axis=0), np.repeat(winners, k))
-        second = self._carrying(np.tile(self.rankings, (b, 1)), np.tile(self.winners, b))
-        return first, second
-
-    def _carrying(self, rankings: np.ndarray, winners: np.ndarray) -> "EvaluatedProfiles":
-        ev = EvaluatedProfiles(self.rule, rankings, self.m, self.n)
-        ev._winners = winners
-        return ev
+        fact = self.space.count
+        row, before = np.nonzero(self.counts)
+        voter = np.argmax(self.rankings[row] == before[:, None], axis=1)
+        row, before, voter = (np.repeat(a, fact - 1) for a in (row, before, voter))
+        after = (before + np.tile(np.arange(1, fact), row.size // (fact - 1))) % fact
+        first = EvaluatedProfiles(self.rule, self.rankings[row], self.m, self.n)
+        first._winners = self.winners[row]
+        second = EvaluatedProfiles(self.rule, first.rankings.copy(), self.m, self.n)
+        second.rankings[np.arange(row.size), voter] = after
+        second._counts = self.counts[row] - np.eye(fact)[before] + np.eye(fact)[after]
+        return row, before, first, second
 
 
 def punctual_batch(predicate: str, ev: EvaluatedProfiles) -> np.ndarray:

@@ -10,11 +10,16 @@ Tuples are i.i.d. product draws (each coordinate an independent profile, each
 voter an independent ranking), and every axiom reads the first ``arity``
 coordinates of the tuple.  Exact enumeration over the whole tuple space is
 available under a size guard and doubles as the ground-truth oracle for the
-Monte Carlo path.
+Monte Carlo path.  It walks anonymous count classes instead of profiles: one
+weighted row per class, plus one per one-voter deviation of a class when an
+axiom is relational.  Under impartial culture the row weights are tuple
+counts, so every probability is an exact tuple-count ratio, correctly
+rounded, while the counts stay below 2**53.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -37,19 +42,21 @@ from .axioms import (
 from .preferences import ImpartialCulture, Mallows, check_problem_size
 from .rules import RULE_TAGS, VotingRule
 
-#: Hard cap on the number of tuples swept by exact enumeration.
+#: Hard cap on the rows evaluated by exact enumeration: C(n + m! - 1, n) count
+#: classes, times 1 + min(n, m!) * (m! - 1) when an axiom is relational.
 ENUMERATION_GUARD = 10**8
 
 _DEFAULT_CHUNK = 1 << 16
 
 
 def thread_cap() -> int:
-    """Worker-thread ceiling from AXIOMETER_THREADS (default 1)."""
+    """Worker-thread ceiling from AXIOMETER_THREADS: default 1, at most the CPU count."""
     raw = os.environ.get("AXIOMETER_THREADS", "")
     try:
-        return max(1, int(raw))
+        wanted = int(raw)
     except ValueError:
         return 1
+    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,66 +186,63 @@ def estimate_collection(
     )
 
 
+def _class_rows(fact: int, n: int, relational: bool) -> int:
+    """Most rows of one count class: itself and, with a relational axiom, its deviations."""
+    return 1 + relational * min(n, fact) * (fact - 1)
+
+
 def _guard(m: int, n: int, tuple_width: int) -> None:
-    if math.factorial(m) ** (n * tuple_width) > ENUMERATION_GUARD:
+    fact = math.factorial(m)
+    rows = math.comb(n + fact - 1, n) * _class_rows(fact, n, tuple_width > 1)
+    if rows > ENUMERATION_GUARD:
         raise SizeError(
-            f"exact enumeration over (m!)**(n*K) = "
-            f"{math.factorial(m)}**{n * tuple_width} tuples exceeds "
+            f"exact enumeration over {rows:.3g} count-class rows exceeds "
             f"{ENUMERATION_GUARD:.0e}"
         )
 
 
-def _decode_profiles(ids: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Mixed-radix profile ids -> (len(ids), n) ranking indices."""
-    fact = math.factorial(m)
-    out = np.empty((ids.shape[0], n), dtype=np.int64)
-    rest = ids.copy()
-    for v in range(n):
-        out[:, v] = rest % fact
-        rest //= fact
-    return out
-
-
-def _profile_weights(rankings: np.ndarray, pmf: np.ndarray) -> np.ndarray:
-    return pmf[rankings].prod(axis=1)
-
-
 def _exact_worlds(
-    rule: VotingRule, axioms: Sequence[AxiomSpec], m: int, n: int, chunk_size: int
+    rule: VotingRule, axioms: Sequence[AxiomSpec], m: int, n: int, pmf: np.ndarray, chunk_size: int
 ):
-    """Yield ``(first, worlds)`` blocks that cover every tuple of profiles once.
+    """Yield ``(worlds, weights)`` blocks whose weighted rows cover every tuple once.
 
-    ``first`` is a block of first profiles as (B, n) ranking indices and
-    ``worlds[i, k]`` is the world of ``first[i]`` paired with the second
-    profile of id k.  When no axiom is relational, no axiom reads a second
-    profile and ``worlds`` has a single column.  Punctual axioms are evaluated
-    once per profile; the pairs are built by repeat and tile and reuse the
-    winners of the profiles they pair.
+    Rules and predicates read a profile only through its ballot counts c, and
+    a pair only through c and its one deviating voter.  So one row, the
+    sorted profile of c, stands for the class c, weighted by multinomial(n; c)
+    * W(c) with W(c) = prod pmf**c.  With a relational axiom, each one-voter
+    deviation r -> r' adds a row weighted multinomial * c_r * W(c) * W(c'),
+    and the class row keeps the rest of the mass with every relational bit
+    set (unrelated pairs hold vacuously).  The pmf is scaled to a maximum of
+    1, so a uniform pmf weighs rows by exact tuple counts.
     """
-    n_profiles = math.factorial(m) ** n
-    if all(ax.kind == "punctual" for ax in axioms):
-        for start in range(0, n_profiles, chunk_size):
-            first = _decode_profiles(np.arange(start, min(start + chunk_size, n_profiles)), m, n)
-            ev = EvaluatedProfiles(rule, first, m, n)
-            worlds = _punctual_worlds(axioms, ev, np.zeros(len(first), dtype=np.int64))
-            yield first, worlds[:, None]
-        return
-    profiles = EvaluatedProfiles(rule, _decode_profiles(np.arange(n_profiles), m, n), m, n)
-    punctual = _punctual_worlds(axioms, profiles, np.zeros(n_profiles, dtype=np.int64))
-    rows = chunk_size // n_profiles + 1
-    for start in range(0, n_profiles, rows):
-        block = slice(start, start + rows)
-        worlds = np.repeat(punctual[block, None], n_profiles, axis=1)
-        _relational_worlds(axioms, *profiles.pairs(block), worlds.reshape(-1))
-        yield profiles.rankings[block], worlds
-
-
-def _second_weights(width: int, m: int, n: int, pmf: np.ndarray) -> np.ndarray:
-    """Weights of the columns of an exact world block: one column stands for
-    every second profile (total mass 1), otherwise column k is profile k."""
-    if width == 1:
-        return np.ones(1)
-    return _profile_weights(_decode_profiles(np.arange(width), m, n), pmf)
+    fact = math.factorial(m)
+    relational = sum(1 << b for b, ax in enumerate(axioms) if ax.kind == "relational")
+    scale = pmf / pmf.max()
+    second_mass = scale.sum() ** n
+    binom = np.array([[math.comb(s, k) for k in range(n + 1)] for s in range(n + 1)], dtype=float)
+    classes = itertools.combinations_with_replacement(range(fact), n)
+    per_block = max(1, chunk_size // _class_rows(fact, n, relational > 0))
+    while True:
+        block = itertools.chain.from_iterable(itertools.islice(classes, per_block))
+        reps = np.fromiter(block, dtype=np.int64).reshape(-1, n)
+        if not len(reps):
+            return
+        ev = EvaluatedProfiles(rule, reps, m, n)
+        counts = ev.counts.astype(np.int64)
+        # each binomial is an exact float, so the product is exact below 2**53
+        multinomial = binom[np.cumsum(counts, axis=1), counts].prod(axis=1)
+        mass = multinomial * (scale**ev.counts).prod(axis=1)
+        worlds = _punctual_worlds(axioms, ev, np.zeros(len(reps), dtype=np.int64))
+        if not relational:
+            yield worlds, mass
+            continue
+        row, before, first, second = ev.deviations()
+        # W(c') from the counts of c', not as W(c) * pmf[r'] / pmf[r], which
+        # is 0/0 where pmf[r] underflows to 0
+        deviation = mass[row] * ev.counts[row, before] * (scale**second.counts).prod(axis=1)
+        rest = mass * second_mass - np.bincount(row, deviation, minlength=len(reps))
+        pair_worlds = _relational_worlds(axioms, first, second, worlds[row])
+        yield np.concatenate([worlds | relational, pair_worlds]), np.concatenate([rest, deviation])
 
 
 def enumerate_collection(
@@ -251,26 +255,16 @@ def enumerate_collection(
 ) -> Collection:
     """Exact collection by weighted sweep over every tuple of profiles.
 
-    The sampler (impartial culture by default) only contributes the product
-    weights of the tuples.  Guarded by ``ENUMERATION_GUARD``.
+    The sampler (impartial culture by default) only contributes the weights of
+    the count-class rows (see ``_exact_worlds``).  Guarded by ``ENUMERATION_GUARD``.
     """
     check_problem_size(m, n)
     axiom_set, tuple_width = _battery(axioms)
     _guard(m, n, tuple_width)
-    sampler = sampler if sampler is not None else ImpartialCulture()
-    pmf = sampler.ranking_pmf(m)
-    # under a uniform sampler, count tuples exactly and divide once at the
-    # end: every probability is then a correctly rounded rational
-    uniform = bool(np.all(pmf == pmf[0]))
+    pmf = (sampler if sampler is not None else ImpartialCulture()).ranking_pmf(m)
     weighted = np.zeros(axiom_set.n_masks)
-    second = None
-    for first, worlds in _exact_worlds(rule, axioms, m, n, chunk_size):
-        weights = None
-        if not uniform:
-            if second is None:
-                second = _second_weights(worlds.shape[1], m, n, pmf)
-            weights = np.outer(_profile_weights(first, pmf), second).ravel()
-        weighted += np.bincount(worlds.ravel(), weights=weights, minlength=axiom_set.n_masks)
+    for worlds, weights in _exact_worlds(rule, axioms, m, n, pmf, chunk_size):
+        weighted += np.bincount(worlds, weights, minlength=axiom_set.n_masks)
     p = zeta_superset(weighted)
     p /= p[0]
     np.clip(p, 0.0, 1.0, out=p)
@@ -298,10 +292,11 @@ def dominance_check(
     axiom_set, tuple_width = _battery(axioms)
     _guard(m, n, tuple_width)
     j = axiom_set.size
+    pmf = ImpartialCulture().ranking_pmf(m)  # any pmf: the weights are ignored
     pair_codes: set[int] = set()
-    for (_, wf), (_, wg) in zip(
-        _exact_worlds(rule_f, axioms, m, n, chunk_size),
-        _exact_worlds(rule_g, axioms, m, n, chunk_size),
+    for (wf, _), (wg, _) in zip(
+        _exact_worlds(rule_f, axioms, m, n, pmf, chunk_size),
+        _exact_worlds(rule_g, axioms, m, n, pmf, chunk_size),
     ):
         pair_codes.update(np.unique((wg << j) | wf).tolist())
 

@@ -194,7 +194,7 @@ class TestSimulate:
         write, _ = files
         spec = write(
             "exp.json",
-            experiment_doc(m=4, n=4, axioms=["pareto", "strategyproof_pair"]),
+            experiment_doc(m=5, n=4, axioms=["pareto", "strategyproof_pair"]),
         )
         assert main(["simulate", spec, "--exact"]) == 3
 

@@ -1,8 +1,11 @@
 """Monte Carlo estimation against exact enumeration, and dominance checks."""
 
+import functools
 import itertools
 import json
 import math
+import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from axiometer.simulation import (
     estimated_to_json,
     experiment_from_json,
     run_experiment,
+    thread_cap,
 )
 
 from conftest import random_capacity
@@ -41,6 +45,24 @@ MIXED_TRIPLE = PUNCTUAL_PAIR + [AxiomSpec.builtin("strategyproof_pair")]
 def all_profiles(m, n):
     space = list(itertools.product(range(math.factorial(m)), repeat=n))
     return [Profile(m=m, n=n, rankings=r) for r in space]
+
+
+def scalar_world_masses(rule, axioms, m, n, sampler):
+    """World -> (tuple count, tuple mass) from check_axiom on every tuple of profiles."""
+    pmf = sampler.ranking_pmf(m)
+    width = max(ax.arity for ax in axioms)
+    counts, masses = np.zeros(1 << len(axioms), dtype=np.int64), np.zeros(1 << len(axioms))
+    for tup in itertools.product(all_profiles(m, n), repeat=width):
+        world = sum(check_axiom(ax, rule, list(tup)) << b for b, ax in enumerate(axioms))
+        counts[world] += 1
+        masses[world] += np.prod([pmf[r] for prof in tup for r in prof.rankings])
+    return counts, masses
+
+
+def superset_sums(worlds):
+    """Subset S -> total over the worlds that contain S, summed in Python."""
+    masks = range(len(worlds))
+    return [sum(worlds[w] for w in masks if s & ~w == 0) for s in masks]
 
 
 class TestEstimate:
@@ -103,6 +125,13 @@ class TestEstimate:
         threaded = estimate_collection(**kwargs)
         np.testing.assert_array_equal(serial.collection.p, threaded.collection.p)
 
+    def test_thread_cap_is_clamped_to_the_cpu_count(self, monkeypatch):
+        # only reads the setting, so no thread is started
+        monkeypatch.setenv("AXIOMETER_THREADS", "1000000")
+        assert thread_cap() == (os.cpu_count() or 1)
+        monkeypatch.setenv("AXIOMETER_THREADS", "-3")
+        assert thread_cap() == 1
+
     def test_counts_consistent_with_probabilities(self):
         est = estimate_collection(PLURALITY, PUNCTUAL_PAIR, ImpartialCulture(), 3, 3, 1500, 3)
         assert est.world_counts.sum() == 1500
@@ -153,25 +182,49 @@ class TestEnumerate:
         c = enumerate_collection(PLURALITY, [ax], 3, 3)
         assert c.p[1] == pytest.approx(hits / 216)
 
-    def test_mixed_battery_matches_scalar_pair_sweep_small(self):
-        # m=3, n=1 keeps the pair space at 36 tuples; compare the vectorized
-        # enumeration with a nested scalar loop
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "sampler",
+        [ImpartialCulture()] + [Mallows(phi, (0, 1, 2)) for phi in (0.5, 1e-160, 1e-300)],
+        ids=["ic", "mallows", "mallows_1e-160", "mallows_1e-300"],
+    )
+    def test_mixed_battery_matches_scalar_pair_sweep_small(self, sampler, n):
+        # m=3 keeps the pair space at 36 (n=1) or 1296 (n=2) tuples; at n=2
+        # count classes have multiplicity, so class weights are exercised.
+        # At phi = 1e-160 and 1e-300 some pmf entries underflow to 0, so no
+        # weight may divide by a pmf entry.
         axioms = [AxiomSpec.builtin("majority_winner"), AxiomSpec.builtin("strategyproof_pair")]
-        c = enumerate_collection(PLURALITY, axioms, 3, 1)
-        profiles = all_profiles(3, 1)
-        weight = 1.0 / 36
-        expected = np.zeros(4)
+        c = enumerate_collection(PLURALITY, axioms, 3, n, sampler)
+        counts, masses = scalar_world_masses(PLURALITY, axioms, 3, n, sampler)
+        if isinstance(sampler, ImpartialCulture):  # the correctly rounded tuple ratio
+            total = int(counts.sum())
+            expected = [float(Fraction(int(hits), total)) for hits in superset_sums(counts)]
+            np.testing.assert_array_equal(c.p, expected)
+        else:
+            expected = superset_sums(masses / masses.sum())
+            np.testing.assert_allclose(c.p, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rule", [PLURALITY, BORDA, COPELAND], ids=lambda r: r.name)
+    def test_mixed_battery_matches_scalar_related_pair_sweep(self, rule):
+        # at n=3 a deviating ranking can be held by two voters, so the
+        # deviation rows' multiplicity is exercised; of the 216 * 216 pairs
+        # only the 216 * 15 one-voter deviations are related, and every other
+        # pair satisfies the relational axiom vacuously
+        punctual, relational = PUNCTUAL_PAIR, AxiomSpec.builtin("strategyproof_pair")
+        rel_bit = 1 << len(punctual)
+        counts = np.zeros(2 * rel_bit, dtype=np.int64)
+        profiles = all_profiles(3, 3)
         for p1 in profiles:
-            for p2 in profiles:
-                world = 0
-                if check_axiom(axioms[0], PLURALITY, [p1, p2]):
-                    world |= 1
-                if check_axiom(axioms[1], PLURALITY, [p1, p2]):
-                    world |= 2
-                for mask in range(4):
-                    if mask & ~world == 0:
-                        expected[mask] += weight
-        np.testing.assert_allclose(c.p, expected, atol=1e-12)
+            world = sum(check_axiom(ax, rule, [p1]) << b for b, ax in enumerate(punctual))
+            related = [p2 for p2 in profiles
+                       if sum(a != b for a, b in zip(p1.rankings, p2.rankings)) == 1]
+            counts[world | rel_bit] += len(profiles) - len(related)
+            for p2 in related:
+                counts[world | check_axiom(relational, rule, [p1, p2]) * rel_bit] += 1
+        c = enumerate_collection(rule, MIXED_TRIPLE, 3, 3)
+        total = len(profiles) ** 2
+        expected = [float(Fraction(int(hits), total)) for hits in superset_sums(counts)]
+        np.testing.assert_array_equal(c.p, expected)
 
     def test_enumeration_weights_follow_sampler(self):
         uniform = enumerate_collection(PLURALITY, PUNCTUAL_PAIR, 3, 3, ImpartialCulture())
@@ -185,10 +238,11 @@ class TestEnumerate:
         assert not np.allclose(uniform.p, skewed.p)
 
     def test_size_guard(self):
+        # 9.3e6 count classes times 477 rows each; m4 n4 (1.6e6 rows) is admitted
         with pytest.raises(SizeError):
-            enumerate_collection(PLURALITY, MIXED_TRIPLE, 4, 4)
+            enumerate_collection(PLURALITY, MIXED_TRIPLE, 5, 4)
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("axioms", [PUNCTUAL_PAIR, MIXED_TRIPLE], ids=["punctual", "mixed"])
     @pytest.mark.parametrize("sampler", [ImpartialCulture(), Mallows(0.5, (0, 1, 2))],
                              ids=["ic", "mallows"])
@@ -202,15 +256,22 @@ class TestEnumerate:
                 np.testing.assert_allclose(chunked.p, whole.p, rtol=0, atol=1e-12)
 
 
+@functools.lru_cache(maxsize=None)
+def exact_mixed_triple(rule, m, n, phi):
+    sampler = ImpartialCulture() if phi is None else Mallows(phi, tuple(range(m)))
+    return sampler, enumerate_collection(rule, MIXED_TRIPLE, m, n, sampler)
+
+
 class TestConvergence:
-    @pytest.mark.parametrize("sampler", [ImpartialCulture(), Mallows(0.5, (0, 1, 2))],
-                             ids=["ic", "mallows"])
+    @pytest.mark.parametrize("phi", [None, 0.5], ids=["ic", "mallows"])
     @pytest.mark.parametrize("samples", [1000, 10_000])
-    def test_estimates_within_four_standard_errors(self, samples, sampler):
+    # m4 n4 is 1.6e6 count-class rows, out of reach of a profile-by-profile sweep
+    @pytest.mark.parametrize("m, n", [(3, 3), (4, 4)])
+    def test_estimates_within_four_standard_errors(self, m, n, samples, phi):
         for rule in (PLURALITY, COPELAND):
-            exact = enumerate_collection(rule, MIXED_TRIPLE, 3, 3, sampler)
+            sampler, exact = exact_mixed_triple(rule, m, n, phi)
             est = estimate_collection(
-                rule, MIXED_TRIPLE, sampler, 3, 3, samples, seed=20240817
+                rule, MIXED_TRIPLE, sampler, m, n, samples, seed=20240817
             )
             bound = 4 * np.sqrt(exact.p * (1 - exact.p) / samples) + 1.0 / samples
             assert np.all(np.abs(est.collection.p - exact.p) <= bound)
