@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MonotonicityError, RangeError
-from .lattice import AxiomSet, moebius_subset, popcounts, subset_map, subset_vector
+from .lattice import AxiomSet, halves, moebius_subset, popcounts, subset_map, subset_vector
 
 #: Above this J the 3**J bipartition sweep for the additivity flags is skipped.
 ADDITIVITY_CHECK_MAX_AXIOMS = 14
@@ -72,13 +72,11 @@ def validate_capacity(cap: Capacity, tol: float = 1e-9) -> CapacityReport:
     """
     u = cap.u
     j = cap.axioms.size
-    masks = np.arange(cap.axioms.n_masks)
     monotone = True
     strict = True
     for b in range(j):
-        bit = 1 << b
-        with_b = masks[(masks & bit) != 0]
-        diff = u[with_b] - u[with_b ^ bit]
+        without, with_b = halves(u, b)
+        diff = with_b - without
         if np.any(diff < -tol):
             monotone = False
         if np.any(diff <= tol):

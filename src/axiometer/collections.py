@@ -31,6 +31,7 @@ from .errors import (
 )
 from .lattice import (
     AxiomSet,
+    halves,
     moebius_superset,
     subset_keys,
     subset_map,
@@ -133,7 +134,7 @@ def contributions(c: Collection, tol: float = DEFAULT_TOL) -> ContributionVector
     p[empty] = 1).
     """
     alpha = moebius_superset(c.p)
-    support = tuple(int(m) for m in np.nonzero(alpha > tol)[0])
+    support = tuple(np.flatnonzero(alpha > tol).tolist())
     alpha.setflags(write=False)
     return ContributionVector(axioms=c.axioms, alpha=alpha, support=support, tol=tol)
 
@@ -143,19 +144,13 @@ def _frechet_violations(c: Collection, tol: float) -> list[FrechetViolation]:
     masks = np.arange(c.axioms.n_masks)
     out: list[FrechetViolation] = []
     for b, label in enumerate(c.axioms.labels):
-        bit = 1 << b
-        with_b = masks[(masks & bit) != 0]
-        sub = with_b ^ bit
-        mono = p[with_b] - p[sub]
-        low = (p[sub] - (1.0 - p[bit])) - p[with_b]
-        for i in np.nonzero(mono > tol)[0]:
-            out.append(
-                FrechetViolation(int(with_b[i]), "monotonicity", label, float(mono[i]))
-            )
-        for i in np.nonzero(low > tol)[0]:
-            out.append(
-                FrechetViolation(int(with_b[i]), "lower_bound", label, float(low[i]))
-            )
+        sub, with_b = halves(p, b)
+        mono = with_b - sub
+        low = (sub - (1.0 - p[1 << b])) - with_b
+        for kind, slack in (("monotonicity", mono), ("lower_bound", low)):
+            hit = slack > tol
+            for mask, value in zip(halves(masks, b)[1][hit].tolist(), slack[hit].tolist()):
+                out.append(FrechetViolation(mask, kind, label, value))
     out.sort(key=lambda v: (v.subset, v.kind, v.axiom))
     return out
 
@@ -228,6 +223,8 @@ def reconstruct(cv: ContributionVector) -> Collection:
     NegativeWeightError otherwise.
     """
     alpha = np.asarray(cv.alpha, dtype=np.float64)
+    if not np.isfinite(alpha).all():
+        raise NegativeWeightError("contribution weights must be finite")
     if np.any(alpha < -1e-9):
         worst = int(np.argmin(alpha))
         raise NegativeWeightError(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .collections import DEFAULT_TOL, Collection, contributions, require_member
 from .errors import RangeError, SizeError
-from .lattice import AxiomSet, popcounts, subset_vector
+from .lattice import AxiomSet, halves, popcounts, subset_vector
 
 #: Largest J for which the J!-permutation oracle runs.
 BRUTEFORCE_MAX_AXIOMS = 8
@@ -71,15 +71,11 @@ def _allocation(axioms: AxiomSet, values: np.ndarray, method: str) -> Incompatib
 def _marginal_sums(c: Collection, weight_by_card: np.ndarray) -> np.ndarray:
     """psi[a] = sum over S without a of w[|S|] * (p[S] - p[S + a])."""
     j = c.axioms.size
-    p = c.p
     cards = popcounts(j)
-    masks = np.arange(c.axioms.n_masks)
     psi = np.empty(j)
     for b in range(j):
-        bit = 1 << b
-        without = masks[(masks & bit) == 0]
-        diffs = p[without] - p[without | bit]
-        psi[b] = float(np.dot(weight_by_card[cards[without]], diffs))
+        without, with_b = halves(c.p, b)
+        psi[b] = float(np.vdot(weight_by_card[halves(cards, b)[0]], without - with_b))
     return psi
 
 
@@ -103,12 +99,9 @@ def shapley_via_moebius(c: Collection, tol: float = DEFAULT_TOL) -> Incompatibil
     j = c.axioms.size
     alpha = contributions(c, tol).alpha
     cards = popcounts(j)
-    masks = np.arange(c.axioms.n_masks)
     psi = np.empty(j)
     for b in range(j):
-        bit = 1 << b
-        without = masks[(masks & bit) == 0]
-        psi[b] = float(np.sum(alpha[without] / (j - cards[without])))
+        psi[b] = float(np.sum(halves(alpha, b)[0] / (j - halves(cards, b)[0])))
     return _allocation(c.axioms, psi, "shapley_via_moebius")
 
 

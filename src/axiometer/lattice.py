@@ -6,9 +6,9 @@ arrays of length ``2**J`` indexed by mask, entry 0 being the empty set, so one
 carrier type serves satisfaction collections, contribution weights, capacities
 and games alike.  The four transforms below convert between a set function and
 its additive coefficients for the superset or subset order; each runs in
-O(J * 2**J) via in-place per-bit sweeps.  The sweeps reshape the array so that
-bit b is the middle axis: ``v[:, 0, :]`` are the masks without b and
-``v[:, 1, :]`` the masks with b.
+O(J * 2**J) via in-place per-bit sweeps.  Every sweep that pairs each subset
+S with S + a, here and in the other modules, goes through :func:`halves`, the
+one place that decodes the mask layout.
 """
 
 from __future__ import annotations
@@ -159,12 +159,23 @@ def _prepare(values: np.ndarray | Sequence[float]) -> tuple[np.ndarray, int]:
     return arr, j
 
 
+def halves(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of ``values`` at the masks without bit b and, aligned, with it.
+
+    Entry (i, k) of the first view is some mask m and of the second m | 1 << b,
+    both in ascending order of m.  They share the memory of a C-contiguous
+    ``values``, so writing through them updates it in place.
+    """
+    v = values.reshape(-1, 2, 1 << b)
+    return v[:, 0, :], v[:, 1, :]
+
+
 def zeta_superset(values) -> np.ndarray:
     """Return x with x[S] = sum over T >= S (superset order) of values[T]."""
     arr, j = _prepare(values)
     for b in range(j):
-        v = arr.reshape(-1, 2, 1 << b)
-        v[:, 0, :] += v[:, 1, :]
+        without, with_b = halves(arr, b)
+        without += with_b
     return arr
 
 
@@ -175,8 +186,8 @@ def moebius_superset(values) -> np.ndarray:
     """
     arr, j = _prepare(values)
     for b in range(j):
-        v = arr.reshape(-1, 2, 1 << b)
-        v[:, 0, :] -= v[:, 1, :]
+        without, with_b = halves(arr, b)
+        without -= with_b
     return arr
 
 
@@ -184,8 +195,8 @@ def zeta_subset(values) -> np.ndarray:
     """Return x with x[S] = sum over T <= S (subset order) of values[T]."""
     arr, j = _prepare(values)
     for b in range(j):
-        v = arr.reshape(-1, 2, 1 << b)
-        v[:, 1, :] += v[:, 0, :]
+        without, with_b = halves(arr, b)
+        with_b += without
     return arr
 
 
@@ -196,8 +207,8 @@ def moebius_subset(values) -> np.ndarray:
     """
     arr, j = _prepare(values)
     for b in range(j):
-        v = arr.reshape(-1, 2, 1 << b)
-        v[:, 1, :] -= v[:, 0, :]
+        without, with_b = halves(arr, b)
+        with_b -= without
     return arr
 
 

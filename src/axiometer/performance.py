@@ -24,7 +24,7 @@ import numpy as np
 from .capacities import Capacity
 from .collections import DEFAULT_TOL, Collection, contributions, require_member
 from .errors import RangeError, SchemaError
-from .lattice import AxiomSet
+from .lattice import AxiomSet, halves
 
 MEASURE_TAGS = ("moebius", "weighted_sum", "min_diff")
 
@@ -80,14 +80,12 @@ def strict_superset_max(c: Collection) -> np.ndarray:
     j = c.axioms.size
     best = c.p.copy()
     for b in range(j):
-        v = best.reshape(-1, 2, 1 << b)
-        np.maximum(v[:, 0, :], v[:, 1, :], out=v[:, 0, :])
+        without, with_b = halves(best, b)
+        np.maximum(without, with_b, out=without)
     out = np.full(c.axioms.n_masks, -np.inf)
-    masks = np.arange(c.axioms.n_masks)
     for b in range(j):
-        bit = 1 << b
-        without = masks[(masks & bit) == 0]
-        out[without] = np.maximum(out[without], best[without | bit])
+        without = halves(out, b)[0]
+        np.maximum(without, halves(best, b)[1], out=without)
     out[c.axioms.full_mask] = 0.0
     return out
 

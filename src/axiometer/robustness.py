@@ -97,6 +97,8 @@ def summarize(fam: CollectionFamily, beta: Sequence[float] | None = None) -> Col
         weights = np.asarray(beta, dtype=np.float64)
         if weights.shape != (k,):
             raise WeightError(f"need {k} weights, got shape {weights.shape}")
+        if not np.isfinite(weights).all():
+            raise WeightError(f"summary weights must be finite, got {weights.tolist()}")
         if np.any(weights < 0.0):
             raise WeightError("summary weights must be non-negative")
         if abs(float(weights.sum()) - 1.0) > 1e-9:

@@ -3,8 +3,9 @@
 The worked inputs follow the presentation order (a1, a2, a3, a1a2, a1a3,
 a2a3, a1a2a3), which maps to masks (1, 2, 4, 3, 5, 6, 7).  Oracles here are
 deliberately slow and structurally independent of the package's fast paths:
-quadratic transform sums, explicit superset maxima, and linear-algebra world
-distributions.
+quadratic transform sums, explicit superset maxima, linear-algebra world
+distributions, and per-pair loops over every subset S and axiom a for the
+Fréchet bounds, the capacity flags and the Banzhaf marginal sums.
 """
 
 from __future__ import annotations
@@ -108,6 +109,66 @@ def naive_strict_superset_max(p: np.ndarray) -> np.ndarray:
         sups = [p[t] for t in range(n) if (t & s) == s and t != s]
         out[s] = max(sups) if sups else 0.0
     return out
+
+
+def naive_frechet_violations(p: np.ndarray, labels, tol: float) -> list[tuple]:
+    """(mask, kind, axiom, slack) of every violated pairwise bound, sorted."""
+    out = []
+    for s in range(p.shape[0]):
+        for a, label in enumerate(labels):
+            if s >> a & 1:
+                sub = s ^ 1 << a
+                mono = p[s] - p[sub]
+                low = (p[sub] - (1.0 - p[1 << a])) - p[s]
+                if mono > tol:
+                    out.append((s, "monotonicity", label, float(mono)))
+                if low > tol:
+                    out.append((s, "lower_bound", label, float(low)))
+    return sorted(out)
+
+
+def naive_capacity_flags(u: np.ndarray, tol: float) -> tuple[bool, bool]:
+    """(monotone, strict) over every pair u[S] -> u[S + a]."""
+    n = u.shape[0]
+    j = n.bit_length() - 1
+    steps = [u[s | 1 << a] - u[s] for s in range(n) for a in range(j) if not s >> a & 1]
+    return all(d >= -tol for d in steps), all(d > tol for d in steps)
+
+
+def naive_banzhaf(p: np.ndarray) -> np.ndarray:
+    """psi[a] = sum over S without a of (p[S] - p[S + a]) / 2**(J-1)."""
+    n = p.shape[0]
+    j = n.bit_length() - 1
+    weight = 1.0 / 2 ** (j - 1)
+    psi = np.zeros(j)
+    for a in range(j):
+        for s in range(n):
+            if not s >> a & 1:
+                psi[a] += weight * (p[s] - p[s | 1 << a])
+    return psi
+
+
+#: Denominator of the dyadic collections: their entries are multiples of
+#: 2**-12, so every sum of them is exact and oracles that add in another
+#: order agree to the last bit.
+DYADIC_DRAWS = 1 << 12
+
+
+def random_dyadic_feasible(rng: np.random.Generator, axioms: AxiomSet) -> Collection:
+    """Feasible collection of DYADIC_DRAWS worlds drawn from Dirichlet weights."""
+    from axiometer.lattice import zeta_superset
+
+    counts = rng.multinomial(DYADIC_DRAWS, rng.dirichlet(np.ones(axioms.n_masks)))
+    return Collection(axioms=axioms, p=zeta_superset(counts / DYADIC_DRAWS))
+
+
+def perturbed(rng: np.random.Generator, c: Collection) -> Collection:
+    """``c`` with a quarter of its non-empty entries moved by dyadic steps."""
+    p = c.p.copy()
+    idx = rng.integers(1, p.shape[0], size=max(1, p.shape[0] // 4))
+    steps = rng.integers(-1000, 1001, size=idx.size) / DYADIC_DRAWS
+    p[idx] = np.clip(p[idx] + steps, 0.0, 1.0)
+    return Collection(axioms=c.axioms, p=p)
 
 
 def random_capacity(rng: np.random.Generator, axioms: AxiomSet) -> Capacity:

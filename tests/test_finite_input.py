@@ -9,7 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from axiometer import AxiomSet, Capacity, Collection, ParseError, RangeError
+from axiometer import (
+    AxiomSet,
+    Capacity,
+    Collection,
+    CollectionFamily,
+    ContributionVector,
+    NegativeWeightError,
+    ParseError,
+    RangeError,
+    WeightError,
+    reconstruct,
+    summarize,
+)
 from axiometer.cli import _emit, main
 from axiometer.incompatibility import Game
 from axiometer.simulation import estimated_from_json
@@ -31,6 +43,23 @@ def test_types_reject_non_finite_values(make, bad):
     values[5] = bad
     with pytest.raises(RangeError):
         make(values)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_summary_weights_must_be_finite(bad):
+    c = Collection(ABC, np.ones(8))
+    family = CollectionFamily(ABC, (c, c), ("f", "g"))
+    with pytest.raises(WeightError, match="must be finite"):
+        summarize(family, [bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_contribution_weights_must_be_finite(bad):
+    alpha = np.zeros(8)
+    alpha[7] = 1.0
+    alpha[3] = bad
+    with pytest.raises(NegativeWeightError, match="must be finite"):
+        reconstruct(ContributionVector(ABC, alpha, (7,), 1e-9))
 
 
 def nan_collection(tmp_path) -> str:
