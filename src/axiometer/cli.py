@@ -13,6 +13,7 @@ Exit codes: 0 success/feasible, 1 infeasible input, 2 parse or usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -47,10 +48,12 @@ from .robustness import (
 )
 from .simulation import (
     EstimatedCollection,
+    estimated_from_json,
     estimated_to_json,
     experiment_from_json,
     run_experiment,
 )
+from .simulation.estimate import _ESTIMATE_KEYS
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -77,6 +80,14 @@ def _load_json(path: str) -> dict:
     # deeper than the recursion limit raises RecursionError
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _load_collection(path: str) -> Collection:
+    """A collection file, or the collection of a ``simulate`` estimate file."""
+    data = _load_json(path)
+    if isinstance(data, dict) and set(data) == _ESTIMATE_KEYS:
+        return estimated_from_json(data).collection
+    return collection_from_json(data)
 
 
 def _emit(args, payload, table) -> None:
@@ -145,16 +156,11 @@ def _emit_infeasible(exc: InfeasibleCollectionError, axioms) -> None:
 
 
 def cmd_validate(args) -> int:
-    collection = collection_from_json(_load_json(args.collection))
-    member = is_member(collection, args.tol)
-    bounds = frechet_check(collection, args.tol)
-    report = FeasibilityReport(
-        feasible=member.feasible,
-        checks="full",
-        tolerance=args.tol,
-        frechet_violations=bounds.frechet_violations,
-        negative_contributions=member.negative_contributions,
-    )
+    collection = _load_collection(args.collection)
+    report = is_member(collection, args.tol)
+    if report.feasible:  # an infeasible report already lists the violations
+        bounds = frechet_check(collection, args.tol).frechet_violations
+        report = dataclasses.replace(report, frechet_violations=bounds)
     _emit(
         args,
         _report_payload(report, collection),
@@ -169,7 +175,7 @@ def cmd_perf(args) -> int:
     if len(set(names)) != len(names):
         names = list(args.collections)
     entries = [
-        (name, collection_from_json(_load_json(path)))
+        (name, _load_collection(path))
         for name, path in zip(names, args.collections)
     ]
     require_one_axiom_set(entries)
@@ -215,7 +221,7 @@ def cmd_perf(args) -> int:
 
 
 def cmd_incompat(args) -> int:
-    collection = collection_from_json(_load_json(args.collection))
+    collection = _load_collection(args.collection)
     try:
         if args.method == "shapley":
             alloc = shapley(collection, args.tol)
@@ -273,8 +279,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     cap = capacity_from_json(_load_json(args.capacity))
-    fam_f = family_from_json(_load_json(args.family_f))
-    fam_g = family_from_json(_load_json(args.family_g))
+    fam_f = family_from_json(_load_json(args.family_f), args.tol)
+    fam_g = family_from_json(_load_json(args.family_g), args.tol)
     if args.criterion == "alpha_maxmin":
         score_f = alpha_maxmin_score(cap, fam_f, args.alpha, args.measure, args.tol)
         score_g = alpha_maxmin_score(cap, fam_g, args.alpha, args.measure, args.tol)

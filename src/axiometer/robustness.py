@@ -36,7 +36,11 @@ CRITERION_TAGS = ("alpha_maxmin", "max_and_min", "pointwise", "min_vs_max")
 
 @dataclass(frozen=True, eq=False)
 class CollectionFamily:
-    """Feasible collections of one rule under K probability models."""
+    """Collections of one rule under K probability models.
+
+    Construction does not check feasibility: every evaluation does, at the
+    caller's tolerance, and :func:`family_from_json` does at its own.
+    """
 
     axioms: AxiomSet
     members: tuple[Collection, ...]
@@ -56,7 +60,6 @@ class CollectionFamily:
         for c in members:
             if c.axioms.labels != self.axioms.labels:
                 raise SchemaError("family members must share the axiom set")
-            require_member(c)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "model_names", names)
 
@@ -216,7 +219,9 @@ def compare_min_vs_max(
 # ---------------------------------------------------------------------------
 
 
-def family_from_json(data: dict) -> CollectionFamily:
+def family_from_json(data: dict, tol: float = DEFAULT_TOL) -> CollectionFamily:
+    """Parse the family schema; raises ParseError on any deviation and
+    InfeasibleCollectionError when a member is infeasible at ``tol``."""
     from .collections import _axioms_from_json, _subset_array_from_json
 
     if not isinstance(data, dict):
@@ -248,6 +253,8 @@ def family_from_json(data: dict) -> CollectionFamily:
             members.append(Collection(axioms=axioms, p=p))
         except RangeError as exc:
             raise ParseError(str(exc)) from exc
+    for member in members:
+        require_member(member, tol)
     return CollectionFamily(axioms=axioms, members=tuple(members), model_names=tuple(models))
 
 

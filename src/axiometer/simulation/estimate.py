@@ -48,6 +48,9 @@ ENUMERATION_GUARD = 10**8
 
 _DEFAULT_CHUNK = 1 << 16
 
+#: Top-level keys of the estimator output schema.
+_ESTIMATE_KEYS = frozenset({"axioms", "p", "N", "seed", "stderr"})
+
 
 def thread_cap() -> int:
     """Worker-thread ceiling from AXIOMETER_THREADS: default 1, at most the CPU count."""
@@ -424,9 +427,10 @@ def estimated_from_json(data: dict) -> EstimatedCollection:
 
     if not isinstance(data, dict):
         raise ParseError("estimate document must be a JSON object")
-    required = {"axioms", "p", "N", "seed", "stderr"}
-    if set(data) != required:
-        raise ParseError(f"estimate document must have exactly the keys {sorted(required)}")
+    if set(data) != _ESTIMATE_KEYS:
+        raise ParseError(
+            f"estimate document must have exactly the keys {sorted(_ESTIMATE_KEYS)}"
+        )
     for key in ("N", "seed"):
         if isinstance(data[key], bool) or not isinstance(data[key], int):
             raise ParseError(f'"{key}" must be an integer')

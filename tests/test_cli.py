@@ -199,6 +199,44 @@ class TestSimulate:
         assert main(["simulate", spec, "--exact"]) == 3
 
 
+class TestEstimateInput:
+    """``simulate`` output feeds ``validate``, ``perf`` and ``incompat`` as is."""
+
+    @staticmethod
+    def estimate(files):
+        """Path and document of a ``simulate`` estimate, and a capacity file."""
+        write, tmp = files
+        (tmp / "est").mkdir()
+        path = tmp / "est" / "rule.json"
+        assert main(["simulate", write("exp.json", experiment_doc()), "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        u = {"condorcet_consistency": 1.0, "majority_winner": 2.0,
+             "condorcet_consistency+majority_winner": 4.0}
+        return str(path), doc, write("u.json", {"axioms": doc["axioms"], "u": u})
+
+    def test_estimate_file_is_read_as_its_collection(self, files, capsys):
+        est, doc, cap = self.estimate(files)
+        _, tmp = files
+        # the same file name, so perf names both entries alike
+        (tmp / "col").mkdir()
+        col = tmp / "col" / "rule.json"
+        col.write_text(json.dumps({"axioms": doc["axioms"], "p": doc["p"]}))
+        for argv in (["validate"], ["perf", cap], ["incompat"],
+                     ["incompat", "--method", "banzhaf"]):
+            outputs = []
+            for path in (est, str(col)):
+                assert main([*argv, path, "--format", "json"]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+
+    def test_bad_estimate_still_exits_two(self, files, capsys):
+        write, _ = files
+        _, doc, cap = self.estimate(files)
+        doc["N"] = 0
+        assert main(["perf", cap, write("bad.json", doc)]) == 2
+        assert '"N" must be >= 1' in capsys.readouterr().err
+
+
 class TestCompare:
     def test_identical_families_equivalent_everywhere(self, files, capsys):
         write, _ = files
@@ -263,6 +301,22 @@ class TestCompare:
         f = write("f.json", family_doc([STEADY_P, SPIKY_P], ["ic", "mallows"]))
         g = write("g.json", family_doc([STEADY_P, SPIKY_P], ["mallows", "ic"]))
         assert main(["compare", cap, f, g, "--criterion", "pointwise"]) == 2
+
+    def test_tol_reaches_the_family_feasibility_check(self, files, capsys):
+        # contribution at the empty set is 1 - 0.6 - 0.400001 + 0 = -1e-6
+        write, _ = files
+        p = {"a1": 0.6, "a2": 0.400001, "a1+a2": 0.0}
+        cap = write("u.json", {"axioms": ["a1", "a2"], "u": {"a1": 1.0, "a2": 1.0, "a1+a2": 2.0}})
+        col = write("c.json", {"axioms": ["a1", "a2"], "p": p})
+        fam = write("f.json", {"axioms": ["a1", "a2"], "models": ["m"], "collections": [p]})
+        assert main(["perf", cap, col]) == 1
+        assert main(["compare", cap, fam, fam]) == 1
+        assert main(["perf", cap, col, "--tol", "1e-3"]) == 0
+        capsys.readouterr()
+        for criterion in ("alpha_maxmin", "max_and_min", "pointwise", "min_vs_max"):
+            assert main(["compare", cap, fam, fam, "--tol", "1e-3", "--criterion", criterion,
+                         "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["verdict"] == "equivalent"
 
 
 def test_table_output_renders_six_decimals(files, capsys):

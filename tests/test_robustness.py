@@ -9,6 +9,7 @@ from axiometer import (
     Capacity,
     Collection,
     CollectionFamily,
+    InfeasibleCollectionError,
     ParseError,
     RangeError,
     SchemaError,
@@ -27,7 +28,15 @@ from axiometer import (
     summarize,
 )
 
-from conftest import BASELINE_P, collection3, random_capacity, random_feasible
+from conftest import (
+    BASELINE_P,
+    FLAT_P,
+    SYNERGY_U,
+    capacity3,
+    collection3,
+    random_capacity,
+    random_feasible,
+)
 
 ONE = AxiomSet(("a",))
 UNIT_CAP = Capacity(axioms=ONE, u=np.array([0.0, 1.0]))
@@ -256,3 +265,31 @@ class TestFamilyJson:
         }
         with pytest.raises(InfeasibleCollectionError):
             family_from_json(doc)
+
+
+class TestFeasibilityIsCheckedAtTheCallersTol:
+    """A directly built family is checked by every evaluation, not at construction."""
+
+    def test_compare_on_infeasible_family_raises(self, abc):
+        bad = collection3(FLAT_P)  # contributions down to -0.3
+        family = CollectionFamily(axioms=abc, members=(bad,), model_names=("m",))
+        good = CollectionFamily(
+            axioms=abc, members=(collection3(BASELINE_P),), model_names=("m",)
+        )
+        cap = capacity3(SYNERGY_U)
+        for compare in (compare_max_and_min, compare_pointwise, compare_min_vs_max):
+            with pytest.raises(InfeasibleCollectionError):
+                compare(cap, family, good)
+            with pytest.raises(InfeasibleCollectionError):
+                compare(cap, good, family)
+            assert compare(cap, family, family, tol=0.5).verdict == "equivalent"
+        with pytest.raises(InfeasibleCollectionError):
+            alpha_maxmin_score(cap, family, 0.5)
+
+    def test_family_from_json_checks_at_its_tol(self, abc):
+        doc = family_to_json(
+            CollectionFamily(axioms=abc, members=(collection3(FLAT_P),), model_names=("m",))
+        )
+        with pytest.raises(InfeasibleCollectionError):
+            family_from_json(doc)
+        assert family_from_json(doc, tol=0.5).size == 1
