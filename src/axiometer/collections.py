@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     DuplicateAxiomError,
-    InfeasibleCollectionError,
     NegativeWeightError,
     ParseError,
     RangeError,
@@ -173,28 +172,6 @@ def frechet_check(c: Collection, tol: float = DEFAULT_TOL) -> FeasibilityReport:
     )
 
 
-def _membership(c: Collection, alpha: np.ndarray, tol: float, strict: bool) -> FeasibilityReport:
-    """Membership report from the contributions; ``strict`` raises it if infeasible."""
-    bad = np.nonzero(alpha < -tol)[0]
-    negatives = tuple((int(m), float(alpha[m])) for m in bad)
-    report = FeasibilityReport(
-        feasible=not negatives,
-        checks="full",
-        tolerance=tol,
-        frechet_violations=tuple(_frechet_violations(c, tol)) if negatives else (),
-        negative_contributions=negatives,
-    )
-    if strict and negatives:
-        worst = min(negatives, key=lambda t: t[1])
-        raise InfeasibleCollectionError(
-            f"collection is not a consistent probability assignment "
-            f"(worst contribution {worst[1]:.6g} at subset "
-            f"{{{c.axioms.subset_key(worst[0])}}})",
-            report=report,
-        )
-    return report
-
-
 def is_member(c: Collection, tol: float = DEFAULT_TOL) -> FeasibilityReport:
     """Exact membership check: feasible iff every contribution is >= -tol.
 
@@ -202,16 +179,34 @@ def is_member(c: Collection, tol: float = DEFAULT_TOL) -> FeasibilityReport:
     non-empty weights, so the single sign condition covers both requirements
     of the convex decomposition.  Contributions in (-tol, 0) are treated as 0.
     """
-    return _membership(c, moebius_superset(c.p), tol, strict=False)
-
-
-def require_member(c: Collection, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Read-only contributions of ``c`` (``contributions(c).alpha``); raises
-    InfeasibleCollectionError, carrying the is_member report, if infeasible."""
     alpha = moebius_superset(c.p)
-    _membership(c, alpha, tol, strict=True)
-    alpha.setflags(write=False)
-    return alpha
+    bad = np.nonzero(alpha < -tol)[0]
+    negatives = tuple((int(m), float(alpha[m])) for m in bad)
+    feasible = not negatives
+    frechet = () if feasible else tuple(_frechet_violations(c, tol))
+    return FeasibilityReport(
+        feasible=feasible,
+        checks="full",
+        tolerance=tol,
+        frechet_violations=frechet,
+        negative_contributions=negatives,
+    )
+
+
+def require_member(c: Collection, tol: float = DEFAULT_TOL) -> FeasibilityReport:
+    """Return the membership report, raising InfeasibleCollectionError on failure."""
+    from .errors import InfeasibleCollectionError
+
+    report = is_member(c, tol)
+    if not report.feasible:
+        worst = min(report.negative_contributions, key=lambda t: t[1])
+        raise InfeasibleCollectionError(
+            f"collection is not a consistent probability assignment "
+            f"(worst contribution {worst[1]:.6g} at subset "
+            f"{{{c.axioms.subset_key(worst[0])}}})",
+            report=report,
+        )
+    return report
 
 
 def _from_weights(axioms: AxiomSet, alpha: np.ndarray) -> Collection:

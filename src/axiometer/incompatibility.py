@@ -18,7 +18,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .collections import DEFAULT_TOL, Collection, require_member
+from .collections import DEFAULT_TOL, Collection, contributions, require_member
 from .errors import RangeError, SizeError
 from .lattice import AxiomSet, halves, popcounts, subset_vector
 
@@ -95,8 +95,9 @@ def shapley(c: Collection, tol: float = DEFAULT_TOL) -> IncompatibilityAllocatio
 def shapley_via_moebius(c: Collection, tol: float = DEFAULT_TOL) -> IncompatibilityAllocation:
     """Same allocation through the contributions: each exact-satisfaction
     weight alpha[S] is split equally among the axioms outside S."""
-    alpha = require_member(c, tol)
+    require_member(c, tol)
     j = c.axioms.size
+    alpha = contributions(c, tol).alpha
     cards = popcounts(j)
     psi = np.empty(j)
     for b in range(j):

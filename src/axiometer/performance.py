@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .capacities import Capacity
-from .collections import DEFAULT_TOL, Collection, require_member
+from .collections import DEFAULT_TOL, Collection, contributions, require_member
 from .errors import RangeError, SchemaError
 from .lattice import AxiomSet, halves
 
@@ -61,7 +61,8 @@ def _result(cap: Capacity, weights: np.ndarray, measure: str) -> PerformanceResu
 def perf_moebius(cap: Capacity, c: Collection, tol: float = DEFAULT_TOL) -> PerformanceResult:
     """Contribution-weighted measure: sum of u[S] * alpha[S]."""
     _check_pair(cap, c)
-    return _result(cap, require_member(c, tol), "moebius")
+    require_member(c, tol)
+    return _result(cap, contributions(c, tol).alpha, "moebius")
 
 
 def perf_weighted_sum(cap: Capacity, c: Collection, tol: float = DEFAULT_TOL) -> PerformanceResult:
@@ -98,7 +99,8 @@ def perf_min_diff(cap: Capacity, c: Collection, tol: float = DEFAULT_TOL) -> Per
 
 def moebius_weights(c: Collection, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Contribution weights on non-empty subsets (entry 0 zeroed), for reports."""
-    weights = require_member(c, tol).copy()
+    require_member(c, tol)
+    weights = contributions(c, tol).alpha.copy()
     weights[0] = 0.0
     return weights
 
