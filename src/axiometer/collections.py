@@ -17,6 +17,7 @@ rejected at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -80,13 +81,18 @@ class ContributionVector:
     ``alpha[S]`` for non-empty S is the probability of satisfying exactly the
     axioms in S and no others; ``alpha[0]`` is the leftover weight of the
     all-zeros extreme point.  ``support`` lists the masks with weight above
-    ``tol`` (mask 0 included when the leftover is positive).
+    ``tol`` (mask 0 included when the leftover is positive); it is computed on
+    first read and cached, so operations that only read ``alpha`` never build
+    it.
     """
 
     axioms: AxiomSet
     alpha: np.ndarray
-    support: tuple[int, ...]
     tol: float
+
+    @cached_property
+    def support(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.alpha > self.tol).tolist())
 
     @property
     def residual(self) -> float:
@@ -131,12 +137,11 @@ def contributions(c: Collection, tol: float = DEFAULT_TOL) -> ContributionVector
     infeasible.  For feasible collections this is the unique convex
     decomposition over the extreme collections, with ``alpha[0]`` absorbing
     the remainder (the weights over all masks sum to 1 identically because
-    p[empty] = 1).
+    p[empty] = 1).  The ``support`` of the result is built only when read.
     """
     alpha = moebius_superset(c.p)
-    support = tuple(np.flatnonzero(alpha > tol).tolist())
     alpha.setflags(write=False)
-    return ContributionVector(axioms=c.axioms, alpha=alpha, support=support, tol=tol)
+    return ContributionVector(axioms=c.axioms, alpha=alpha, tol=tol)
 
 
 def _frechet_violations(c: Collection, tol: float) -> list[FrechetViolation]:

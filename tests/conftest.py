@@ -5,7 +5,9 @@ a2a3, a1a2a3), which maps to masks (1, 2, 4, 3, 5, 6, 7).  Oracles here are
 deliberately slow and structurally independent of the package's fast paths:
 quadratic transform sums, explicit superset maxima, linear-algebra world
 distributions, and per-pair loops over every subset S and axiom a for the
-Fréchet bounds, the capacity flags and the Banzhaf marginal sums.
+Fréchet bounds, the monotone and strict flags and the Banzhaf marginal sums,
+and a loop over every split T + (S - T) of every subset S for the
+additivity flags.
 """
 
 from __future__ import annotations
@@ -133,6 +135,25 @@ def naive_capacity_flags(u: np.ndarray, tol: float) -> tuple[bool, bool]:
     j = n.bit_length() - 1
     steps = [u[s | 1 << a] - u[s] for s in range(n) for a in range(j) if not s >> a & 1]
     return all(d >= -tol for d in steps), all(d > tol for d in steps)
+
+
+def naive_additivity_flags(u: np.ndarray, tol: float) -> tuple[bool, bool]:
+    """(superadditive, subadditive) over every pair u[S] against u[T] + u[S - T]."""
+    superadditive = True
+    subadditive = True
+    for s in range(1, u.shape[0]):
+        # proper non-empty submasks t of s; each unordered bipartition seen twice
+        t = (s - 1) & s
+        while t:
+            split = u[t] + u[s ^ t]
+            if u[s] < split - tol:
+                superadditive = False
+            if u[s] > split + tol:
+                subadditive = False
+            if not (superadditive or subadditive):
+                return False, False
+            t = (t - 1) & s
+    return superadditive, subadditive
 
 
 def naive_banzhaf(p: np.ndarray) -> np.ndarray:

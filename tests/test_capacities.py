@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import axiometer.capacities as capacities_module
 from axiometer import (
     AxiomSet,
     Capacity,
@@ -18,7 +19,13 @@ from axiometer import (
 )
 from axiometer.lattice import popcounts, zeta_subset
 
-from conftest import SYNERGY_SMALL_U, SYNERGY_U, capacity3
+from conftest import (
+    SYNERGY_SMALL_U,
+    SYNERGY_U,
+    capacity3,
+    naive_additivity_flags,
+    random_capacity,
+)
 
 
 class TestCapacityType:
@@ -67,6 +74,54 @@ class TestValidateCapacity:
         assert report.additivity_checked is False
         assert report.superadditive is None and report.subadditive is None
         assert report.monotone
+
+
+def additivity_cases(j: int) -> list[Capacity]:
+    """Convex, concave and random capacities, and quarter-step ones.
+
+    The quarter-step capacities are additive in quarter-step weights plus a
+    bump of -0.25, 0 or 0.25 per subset, so every sum is exact and a split
+    misses u[S] by exactly 0.25 as often as not.  The last one bumps only the
+    pair of the two highest axioms: no split with T in the low axioms alone
+    shows that u[pair] exceeds the sum of its parts.
+    """
+    rng = np.random.default_rng(900 + j)
+    axioms = AxiomSet(tuple(f"a{i}" for i in range(j)))
+    k = np.arange(j + 1)
+    caps = [
+        cardinality_capacity(axioms, k * k / 4),
+        cardinality_capacity(axioms, np.sqrt(k)),
+        random_capacity(rng, axioms),
+    ]
+    u = rng.uniform(0.0, 1.0, axioms.n_masks)
+    u[0] = 0.0
+    caps.append(Capacity(axioms=axioms, u=u))
+    for bumps in ((0.0,), (0.0, 0.25), (-0.25, 0.0), (-0.25, 0.0, 0.25)):
+        weights = rng.integers(1, 5, j) / 4
+        u = np.zeros(axioms.n_masks)
+        for b, w in enumerate(weights):
+            u[1 << b : 2 << b] = u[: 1 << b] + w
+        u[1:] += rng.choice(bumps, axioms.n_masks - 1)
+        caps.append(Capacity(axioms=axioms, u=u))
+    if j >= 2:
+        u = cardinality_capacity(axioms, k).u.copy()
+        u[3 << j - 2] += 0.25
+        caps.append(Capacity(axioms=axioms, u=u))
+    return caps
+
+
+@pytest.mark.parametrize("chunk", [capacities_module.ADDITIVITY_CHUNK_AXIOMS, 3])
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.25])
+@pytest.mark.parametrize("j", range(1, 11))
+def test_additivity_flags_match_bipartition_loop(j, tol, chunk, monkeypatch):
+    monkeypatch.setattr(capacities_module, "ADDITIVITY_CHUNK_AXIOMS", chunk)
+    flags = set()
+    for cap in additivity_cases(j):
+        report = validate_capacity(cap, tol)
+        got = (report.superadditive, report.subadditive)
+        assert got == naive_additivity_flags(cap.u, tol)
+        flags.add(got)
+    assert j == 1 or len(flags) >= 3
 
 
 class TestCardinalityCapacity:

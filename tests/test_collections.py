@@ -113,6 +113,14 @@ class TestContributions:
         cv = contributions(collection3(BASELINE_P))
         assert set(cv.support) == {1, 3, 5, 7}
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.1])
+    def test_support_built_on_first_read_and_cached(self, tol):
+        cv = contributions(collection3(BASELINE_P), tol)
+        assert "support" not in vars(cv)
+        support = cv.support
+        assert support == tuple(np.flatnonzero(cv.alpha > tol).tolist())
+        assert cv.support is support
+
     def test_weights_of_any_collection_sum_to_one(self):
         rng = np.random.default_rng(43)
         for values in (BASELINE_P, FLAT_P, DECOMP_P):

@@ -59,7 +59,7 @@ def test_contribution_weights_must_be_finite(bad):
     alpha[7] = 1.0
     alpha[3] = bad
     with pytest.raises(NegativeWeightError, match="must be finite"):
-        reconstruct(ContributionVector(ABC, alpha, (7,), 1e-9))
+        reconstruct(ContributionVector(ABC, alpha, 1e-9))
 
 
 def nan_collection(tmp_path) -> str:

@@ -185,7 +185,7 @@ def test_same_cost_means_same_incompatibility():
         alpha[containing] = 0.0
         alpha[axioms.full_mask] += moved
         other = reconstruct(
-            ContributionVector(axioms=axioms, alpha=alpha, support=(), tol=1e-9)
+            ContributionVector(axioms=axioms, alpha=alpha, tol=1e-9)
         )
         without = masks[masks & bit == 0]
         np.testing.assert_allclose(
@@ -211,7 +211,7 @@ def test_no_cost_no_incompatibility():
         alpha = np.zeros(axioms.n_masks)
         alpha[containing] = weights
         c = reconstruct(
-            ContributionVector(axioms=axioms, alpha=alpha, support=(), tol=1e-9)
+            ContributionVector(axioms=axioms, alpha=alpha, tol=1e-9)
         )
         marginals = c.p[[m for m in range(axioms.n_masks) if not m & bit]] - c.p[
             [m | bit for m in range(axioms.n_masks) if not m & bit]

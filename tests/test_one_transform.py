@@ -6,7 +6,8 @@ operations that still do (the membership check, then ``contributions``) are
 marked as expected failures.  Handing alpha back from ``require_member`` mends
 them; it waits for the benchmark's tracer self-test
 (perfbench/tests/test_checks.py), which counts two transforms for ``rank``
-under ``moebius``, to expect one.
+under ``moebius``, to expect one.  No operation reads the ``support`` of
+the contributions, so none may build it.
 """
 
 import numpy as np
@@ -68,6 +69,17 @@ def test_transforms_per_operation(name, monkeypatch):
     monkeypatch.setattr(collections_module, "moebius_superset", counting)
     op(FEASIBLE)
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("name", OPERATIONS)
+def test_no_operation_builds_support(name, monkeypatch):
+    def refuse(cv):
+        raise AssertionError("ContributionVector.support was built")
+
+    monkeypatch.setattr(
+        collections_module.ContributionVector, "support", property(refuse), raising=False
+    )
+    OPERATIONS[name][0](FEASIBLE)
 
 
 #: Infeasible with no pairwise-bound violation, and with monotonicity broken.

@@ -196,7 +196,7 @@ def _transplant(rng, axioms, mask):
 def contributions_like(axioms, alpha):
     from axiometer.collections import ContributionVector
 
-    return ContributionVector(axioms=axioms, alpha=np.asarray(alpha), support=(), tol=1e-9)
+    return ContributionVector(axioms=axioms, alpha=np.asarray(alpha), tol=1e-9)
 
 
 def test_same_contribution_means_same_impact():
