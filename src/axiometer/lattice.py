@@ -6,9 +6,11 @@ arrays of length ``2**J`` indexed by mask, entry 0 being the empty set, so one
 carrier type serves satisfaction collections, contribution weights, capacities
 and games alike.  The four transforms below convert between a set function and
 its additive coefficients for the superset or subset order; each runs in
-O(J * 2**J) via in-place per-bit sweeps.  Every sweep that pairs each subset
+O(J * 2**J) as one in-place pass per bit through :func:`sweep`, which runs the
+low bits on transposed cache-sized blocks.  Every sweep that pairs each subset
 S with S + a, here and in the other modules, goes through :func:`halves`, the
-one place that decodes the mask layout.
+one place that decodes the mask layout; it also pairs the rows of the 2-D
+transposed block.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from .errors import DuplicateAxiomError, RangeError, UnknownAxiomError
 
 #: Hard cap on the number of axioms: arrays have 2**J entries.
 MAX_AXIOMS = 20
+
+#: Target size in bytes of the transposed block on which :func:`sweep` runs
+#: the low bits; a power-of-two number of rows of the array is taken.
+SWEEP_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -164,19 +170,48 @@ def halves(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
 
     Entry (i, k) of the first view is some mask m and of the second m | 1 << b,
     both in ascending order of m.  They share the memory of a C-contiguous
-    ``values``, so writing through them updates it in place.
+    ``values``, so writing through them updates it in place.  ``values`` may
+    be 2-D: its entries are then numbered in row-major order, so bit b of a
+    row index is bit ``b + log2(columns)`` of that numbering, which is how
+    :func:`sweep` pairs the rows of its transposed block.
     """
     v = values.reshape(-1, 2, 1 << b)
     return v[:, 0, :], v[:, 1, :]
 
 
+def sweep(values, pair) -> np.ndarray:
+    """Return a float64 copy of ``values`` after ``pair(*halves(arr, b))`` for b = 0..J-1.
+
+    ``pair(lo, hi)`` updates the views in place.  The low ``J // 2`` bits pair
+    entries that lie close together, so numpy would run them in short inner
+    loops; instead each block of about ``SWEEP_BLOCK_BYTES`` of the array,
+    seen as ``2**(J - J//2)`` rows of ``2**(J//2)``, is copied transposed into
+    one scratch buffer, swept there in inner loops at least as long as the
+    block has rows, and copied back.  The high bits then run on the array
+    itself.  Every entry sees the same operations in the same bit order as
+    with a plain per-bit loop, so the result is bit-identical to it.
+    """
+    arr, j = _prepare(values)
+    low = j // 2
+    m = arr.reshape(-1, 1 << low)
+    fit = max(1, SWEEP_BLOCK_BYTES // m[0].nbytes)
+    rows = min(m.shape[0], 1 << (fit.bit_length() - 1))
+    shift = rows.bit_length() - 1
+    t = np.empty((m.shape[1], rows))
+    for start in range(0, m.shape[0], rows):
+        block = m[start : start + rows]
+        np.copyto(t, block.T)
+        for b in range(low):
+            pair(*halves(t, b + shift))
+        np.copyto(block, t.T)
+    for b in range(low, j):
+        pair(*halves(arr, b))
+    return arr
+
+
 def zeta_superset(values) -> np.ndarray:
     """Return x with x[S] = sum over T >= S (superset order) of values[T]."""
-    arr, j = _prepare(values)
-    for b in range(j):
-        without, with_b = halves(arr, b)
-        without += with_b
-    return arr
+    return sweep(values, lambda lo, hi: np.add(lo, hi, out=lo))
 
 
 def moebius_superset(values) -> np.ndarray:
@@ -184,20 +219,12 @@ def moebius_superset(values) -> np.ndarray:
 
     Exact inverse of :func:`zeta_superset`.
     """
-    arr, j = _prepare(values)
-    for b in range(j):
-        without, with_b = halves(arr, b)
-        without -= with_b
-    return arr
+    return sweep(values, lambda lo, hi: np.subtract(lo, hi, out=lo))
 
 
 def zeta_subset(values) -> np.ndarray:
     """Return x with x[S] = sum over T <= S (subset order) of values[T]."""
-    arr, j = _prepare(values)
-    for b in range(j):
-        without, with_b = halves(arr, b)
-        with_b += without
-    return arr
+    return sweep(values, lambda lo, hi: np.add(hi, lo, out=hi))
 
 
 def moebius_subset(values) -> np.ndarray:
@@ -205,11 +232,7 @@ def moebius_subset(values) -> np.ndarray:
 
     Exact inverse of :func:`zeta_subset`.
     """
-    arr, j = _prepare(values)
-    for b in range(j):
-        without, with_b = halves(arr, b)
-        with_b -= without
-    return arr
+    return sweep(values, lambda lo, hi: np.subtract(hi, lo, out=hi))
 
 
 @lru_cache(maxsize=None)

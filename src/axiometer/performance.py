@@ -24,7 +24,7 @@ import numpy as np
 from .capacities import Capacity
 from .collections import DEFAULT_TOL, Collection, contributions, require_member
 from .errors import RangeError, SchemaError
-from .lattice import AxiomSet, halves
+from .lattice import AxiomSet, halves, sweep
 
 MEASURE_TAGS = ("moebius", "weighted_sum", "min_diff")
 
@@ -77,13 +77,9 @@ def strict_superset_max(c: Collection) -> np.ndarray:
 
     The full set, having none, gets 0.
     """
-    j = c.axioms.size
-    best = c.p.copy()
-    for b in range(j):
-        without, with_b = halves(best, b)
-        np.maximum(without, with_b, out=without)
+    best = sweep(c.p, lambda lo, hi: np.maximum(lo, hi, out=lo))
     out = np.full(c.axioms.n_masks, -np.inf)
-    for b in range(j):
+    for b in range(c.axioms.size):
         without = halves(out, b)[0]
         np.maximum(without, halves(best, b)[1], out=without)
     out[c.axioms.full_mask] = 0.0

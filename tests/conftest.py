@@ -7,7 +7,9 @@ quadratic transform sums, explicit superset maxima, linear-algebra world
 distributions, and per-pair loops over every subset S and axiom a for the
 Fréchet bounds, the monotone and strict flags and the Banzhaf marginal sums,
 and a loop over every split T + (S - T) of every subset S for the
-additivity flags.
+additivity flags.  The per-bit references are the exception: they are the
+whole-array loops that the blocked sweep kernel replaced, kept so that the
+kernel can be checked against them bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from axiometer import AxiomSet, Capacity, Collection
-from axiometer.lattice import popcounts
+from axiometer.lattice import halves, popcounts
 
 PRESENTATION_MASKS = (1, 2, 4, 3, 5, 6, 7)
 
@@ -110,6 +112,53 @@ def naive_strict_superset_max(p: np.ndarray) -> np.ndarray:
     for s in range(n):
         sups = [p[t] for t in range(n) if (t & s) == s and t != s]
         out[s] = max(sups) if sups else 0.0
+    return out
+
+
+# --- per-bit references -------------------------------------------------------
+# The whole-array loops that lattice.sweep replaced, kept verbatim: one pass
+# over the whole array per bit b = 0..J-1.  The blocked kernel must reproduce
+# them to the last bit, so the tests compare with np.array_equal.
+
+
+def per_bit_sweep(x, kind: str) -> np.ndarray:
+    """The transform ``kind`` (a lattice function name) as a per-bit loop."""
+    arr = np.array(x, dtype=np.float64)
+    j = arr.shape[0].bit_length() - 1
+    if kind == "zeta_superset":
+        for b in range(j):
+            without, with_b = halves(arr, b)
+            without += with_b
+    elif kind == "moebius_superset":
+        for b in range(j):
+            without, with_b = halves(arr, b)
+            without -= with_b
+    elif kind == "zeta_subset":
+        for b in range(j):
+            without, with_b = halves(arr, b)
+            with_b += without
+    elif kind == "moebius_subset":
+        for b in range(j):
+            without, with_b = halves(arr, b)
+            with_b -= without
+    else:
+        raise ValueError(kind)
+    return arr
+
+
+def per_bit_strict_superset_max(p: np.ndarray) -> np.ndarray:
+    """performance.strict_superset_max with its superset-max cascade as a per-bit loop."""
+    n = p.shape[0]
+    j = n.bit_length() - 1
+    best = p.copy()
+    for b in range(j):
+        without, with_b = halves(best, b)
+        np.maximum(without, with_b, out=without)
+    out = np.full(n, -np.inf)
+    for b in range(j):
+        without = halves(out, b)[0]
+        np.maximum(without, halves(best, b)[1], out=without)
+    out[n - 1] = 0.0
     return out
 
 

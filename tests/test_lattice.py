@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from axiometer import (
     AxiomSet,
+    Collection,
     DuplicateAxiomError,
     RangeError,
     UnknownAxiomError,
@@ -16,6 +17,7 @@ from axiometer import (
     zeta_subset,
     zeta_superset,
 )
+from axiometer import lattice
 from axiometer.lattice import popcounts
 
 from conftest import (
@@ -27,8 +29,13 @@ from conftest import (
     naive_moebius_superset,
     naive_zeta_subset,
     naive_zeta_superset,
+    per_bit_sweep,
     presentation_to_masks,
 )
+
+TRANSFORMS = {
+    f.__name__: f for f in (zeta_superset, moebius_superset, zeta_subset, moebius_subset)
+}
 
 
 class TestMaskOf:
@@ -137,6 +144,40 @@ def test_fast_sweeps_match_naive_sums(j):
         np.testing.assert_allclose(
             moebius_subset(x), naive_moebius_subset(x), atol=1e-12
         )
+
+
+def spread_values(rng: np.random.Generator, j: int) -> np.ndarray:
+    """Signed values whose magnitudes span 1e-5..1e5, so that any change in
+    the order of the additions changes some rounding."""
+    n = 1 << j
+    return rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+
+
+# 64 bytes is less than one row of the blocked view from J = 5 on, so every
+# block is one row and the kernel walks many blocks even at J <= 10.
+@pytest.mark.parametrize("block_bytes", [lattice.SWEEP_BLOCK_BYTES, 64])
+@pytest.mark.parametrize("j", range(21))
+def test_sweep_is_bit_identical_to_per_bit_loop(j, block_bytes, monkeypatch):
+    monkeypatch.setattr(lattice, "SWEEP_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(300 + j)
+    for _ in range(1 if j >= 17 else 3):
+        x = spread_values(rng, j)
+        for kind, transform in TRANSFORMS.items():
+            assert np.array_equal(transform(x), per_bit_sweep(x, kind)), kind
+
+
+@pytest.mark.parametrize("kind", sorted(TRANSFORMS))
+def test_sweep_returns_a_fresh_array_and_leaves_its_input(kind):
+    p = Collection(AxiomSet(("a1", "a2", "a3")), np.linspace(1.0, 0.3, 8)).p
+    assert not p.flags.writeable
+    for x in (p, p.tolist(), np.arange(8)):
+        before = np.array(x, copy=True)
+        out = TRANSFORMS[kind](x)
+        assert np.array_equal(np.asarray(x), before)
+        assert type(x) is list or not np.shares_memory(out, x)
+        assert out.dtype == np.float64
+        assert out.flags.writeable and out.flags.c_contiguous
+        assert np.array_equal(out, per_bit_sweep(before, kind))
 
 
 @pytest.mark.parametrize("j", [1, 4, 8, 12])

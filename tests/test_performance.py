@@ -6,6 +6,7 @@ import pytest
 from axiometer import (
     AxiomSet,
     Capacity,
+    Collection,
     InfeasibleCollectionError,
     SchemaError,
     contributions,
@@ -35,6 +36,7 @@ from conftest import (
     collection3,
     in_presentation_order,
     naive_strict_superset_max,
+    per_bit_strict_superset_max,
     random_capacity,
     random_feasible,
 )
@@ -119,6 +121,15 @@ class TestMinDiff:
                 np.testing.assert_allclose(
                     strict_superset_max(c), naive_strict_superset_max(c.p), atol=1e-12
                 )
+
+
+@pytest.mark.parametrize("j", range(1, 21))
+def test_strict_superset_max_is_bit_identical_to_per_bit_loop(j):
+    rng = np.random.default_rng(500 + j)
+    p = rng.uniform(0.0, 1.0, 1 << j)
+    p[0] = 1.0
+    c = Collection(AxiomSet(tuple(f"a{i}" for i in range(j))), p)
+    assert np.array_equal(strict_superset_max(c), per_bit_strict_superset_max(c.p))
 
 
 class TestMoebiusWeights:
