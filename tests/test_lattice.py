@@ -153,8 +153,8 @@ def spread_values(rng: np.random.Generator, j: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
 
 
-# 64 bytes is less than one row of the blocked view from J = 5 on, so every
-# block is one row and the kernel walks many blocks even at J <= 10.
+# 64 bytes hold at most two rows of the blocked view, so with it the kernel
+# walks several blocks from J = 4 on, and one-row blocks from J = 6 on.
 @pytest.mark.parametrize("block_bytes", [lattice.SWEEP_BLOCK_BYTES, 64])
 @pytest.mark.parametrize("j", range(21))
 def test_sweep_is_bit_identical_to_per_bit_loop(j, block_bytes, monkeypatch):
