@@ -63,7 +63,6 @@ from .incompatibility import (
 from .lattice import (
     MAX_AXIOMS,
     AxiomSet,
-    mask_of,
     moebius_subset,
     moebius_superset,
     subset_vector,

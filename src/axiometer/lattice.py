@@ -108,11 +108,6 @@ class AxiomSet:
             raise RangeError(f"mask {mask} out of range for {self.size} axioms")
 
 
-def mask_of(axioms: AxiomSet, names: Iterable[str]) -> int:
-    """Module-level alias for :meth:`AxiomSet.mask_of`."""
-    return axioms.mask_of(names)
-
-
 # The key table holds 2**J strings (about 90 MB at J = 20), so it is built on
 # first bulk use only and few are kept.
 

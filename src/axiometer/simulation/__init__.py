@@ -17,7 +17,6 @@ from .estimate import (
     estimated_to_json,
     experiment_from_json,
     run_experiment,
-    thread_cap,
 )
 from .preferences import ImpartialCulture, Mallows, Profile
 from .rules import RULE_TAGS, VotingRule, apply_rule
@@ -43,5 +42,4 @@ __all__ = [
     "estimated_to_json",
     "experiment_from_json",
     "run_experiment",
-    "thread_cap",
 ]

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,16 +48,6 @@ _DEFAULT_CHUNK = 1 << 16
 
 #: Top-level keys of the estimator output schema.
 _ESTIMATE_KEYS = frozenset({"axioms", "p", "N", "seed", "stderr"})
-
-
-def thread_cap() -> int:
-    """Worker-thread ceiling from AXIOMETER_THREADS: default 1, at most the CPU count."""
-    raw = os.environ.get("AXIOMETER_THREADS", "")
-    try:
-        wanted = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,35 +128,25 @@ def estimate_collection(
 ) -> EstimatedCollection:
     """Monte Carlo estimate of the satisfaction collection.
 
-    Draws ``n_samples`` i.i.d. tuples of profiles from ``sampler``, computes
-    each tuple's world, and reads the subset probabilities off the world
-    counts.  Deterministic given ``seed`` regardless of chunking or the
-    AXIOMETER_THREADS evaluation parallelism (sampling is sequential; only
-    the pure world evaluation is sharded).
+    Draws ``n_samples`` i.i.d. tuples of profiles from ``sampler`` in blocks
+    of at most ``chunk_size`` tuples, computes each tuple's world, and reads
+    the subset probabilities off the world counts.  Deterministic given
+    ``seed``; the block size changes neither the draws nor the result.
     """
     check_problem_size(m, n)
     if n_samples < 1:
         raise RangeError(f"sample count must be at least 1, got {n_samples}")
+    if chunk_size < 1:
+        raise RangeError(f"chunk size must be at least 1, got {chunk_size}")
     axiom_set, tuple_width = _battery(axioms)
     sampler.ranking_pmf(m)  # validates sampler/m compatibility up front
     rng = np.random.default_rng(seed)
-    workers = thread_cap()
     world_counts = np.zeros(axiom_set.n_masks, dtype=np.int64)
-    drawn = 0
-    while drawn < n_samples:
-        block = min(chunk_size, n_samples - drawn)
+    for start in range(0, n_samples, chunk_size):
+        block = min(chunk_size, n_samples - start)
         rankings = sampler.sample(rng, m, (block, tuple_width, n))
-        if workers > 1 and block >= 2 * workers:
-            slices = np.array_split(np.arange(block), workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = pool.map(
-                    lambda idx: _worlds(rule, axioms, rankings[idx], m, n), slices
-                )
-                worlds = np.concatenate(list(parts))
-        else:
-            worlds = _worlds(rule, axioms, rankings, m, n)
+        worlds = _worlds(rule, axioms, rankings, m, n)
         world_counts += np.bincount(worlds, minlength=axiom_set.n_masks)
-        drawn += block
     subset_counts = np.rint(zeta_superset(world_counts.astype(np.float64))).astype(
         np.int64
     )
@@ -435,8 +413,9 @@ def estimated_from_json(data: dict) -> EstimatedCollection:
         if isinstance(data[key], bool) or not isinstance(data[key], int):
             raise ParseError(f'"{key}" must be an integer')
     n_samples = data["N"]
-    if n_samples < 1:
-        raise ParseError('"N" must be >= 1')
+    # subset counts are p * N in float64, exact only up to 2**53
+    if not 1 <= n_samples <= 2**53:
+        raise ParseError('"N" must be >= 1 and <= 2**53')
     collection = collection_from_json({"axioms": data["axioms"], "p": data["p"]})
     axioms = collection.axioms
     stderr = _subset_array_from_json(axioms, data["stderr"], "stderr", 0.0)

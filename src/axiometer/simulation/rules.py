@@ -63,11 +63,7 @@ def winners_from_counts(rule: VotingRule, counts: np.ndarray, space: PermSpace) 
     return np.argmax(scores, axis=1)
 
 
-def batch_winners(rule: VotingRule, rankings: np.ndarray, m: int) -> np.ndarray:
-    """Winner per row of a (B, n) ranking-index array."""
-    return winners_from_counts(rule, ranking_counts(rankings, m), perm_space(m))
-
-
 def apply_rule(rule: VotingRule, profile: Profile) -> int:
     """Winning candidate index for one profile."""
-    return int(batch_winners(rule, profile.as_array()[None, :], profile.m)[0])
+    counts = ranking_counts(profile.as_array()[None, :], profile.m)
+    return int(winners_from_counts(rule, counts, perm_space(profile.m))[0])

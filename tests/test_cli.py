@@ -418,6 +418,21 @@ class TestBadInputExitsTwo:
         assert exit_code(["simulate", write("exp.json", experiment_doc(sampler=sampler))]) == 2
         assert capsys.readouterr().err.startswith('error: "sigma" must be a list')
 
+    @pytest.mark.parametrize("n_samples", [10**400, 10**20, 2**53 + 1],
+                             ids=["10**400", "10**20", "2**53+1"])
+    def test_estimate_count_beyond_exact_float_counts(self, files, capsys, n_samples):
+        write, _ = files
+        _, doc, cap = TestEstimateInput.estimate(files)
+        path = write("big.json", {**doc, "N": n_samples})
+        for argv in (["validate", path], ["perf", cap, path], ["incompat", path]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith('error: "N" must be >= 1 and <= 2**53')
+
+    def test_estimate_count_of_two_to_the_53_is_read(self, files, capsys):
+        write, _ = files
+        _, doc, _ = TestEstimateInput.estimate(files)
+        assert main(["validate", write("top.json", {**doc, "N": 2**53})]) == 0
+
     def test_seed_is_a_simulate_flag_only(self, files, capsys):
         write, _ = files
         path = write("c.json", collection_doc(BASELINE_P))

@@ -98,8 +98,7 @@ def subset_map(draw, names):
 
 
 @st.composite
-def collection_doc(draw, names=None):
-    names = names if names is not None else draw(labels())
+def probabilities(draw, names):
     if draw(st.booleans()):  # a feasible collection: the subset sums of random worlds
         weights = [draw(st.integers(min_value=0, max_value=3)) for _ in range(1 << len(names))]
         total = sum(weights) or 1
@@ -109,9 +108,36 @@ def collection_doc(draw, names=None):
                 mask = sum(1 << i for i in combo)
                 mass = sum(w for world, w in enumerate(weights) if world & mask == mask)
                 p["+".join(names[i] for i in combo)] = mass / total
-    else:
-        p = draw(subset_map(names))
-    return draw(mutated({"axioms": names, "p": p}))
+        return p
+    return draw(subset_map(names))
+
+
+@st.composite
+def collection_doc(draw, names=None):
+    names = names if names is not None else draw(labels())
+    return draw(mutated({"axioms": names, "p": draw(probabilities(names))}))
+
+
+@st.composite
+def estimate_doc(draw, names=None):
+    """A ``simulate`` estimate: a collection with "N", "seed" and "stderr"."""
+    names = names if names is not None else draw(labels())
+    counts = st.integers(min_value=1, max_value=10**6)
+    # counts are exact in float64 up to 2**53, so draw the edge often
+    edge = st.sampled_from([2**53, 2**53 + 1, 10**20, 10**400])
+    doc = {
+        "axioms": names,
+        "p": draw(probabilities(names)),
+        "N": draw(st.one_of(counts, counts, edge, NUMBERS)),
+        "seed": draw(mostly(st.integers(min_value=0, max_value=2**40), NUMBERS)),
+        "stderr": draw(subset_map(names)),
+    }
+    return draw(mutated(doc))
+
+
+def scored_doc(names=None):
+    """What validate, perf and incompat read: a collection or an estimate."""
+    return st.one_of(collection_doc(names), estimate_doc(names))
 
 
 @st.composite
@@ -189,7 +215,7 @@ def write_all(tmp: str, docs: dict) -> dict:
 
 
 @SETTINGS
-@given(doc=collection_doc(), flags=common_flags())
+@given(doc=scored_doc(), flags=common_flags())
 def test_validate(doc, flags):
     with tempfile.TemporaryDirectory() as tmp:
         check_contract(["validate", write_all(tmp, {"c": doc})["c"], *flags])
@@ -202,14 +228,14 @@ def test_perf(data, flags, measure, count):
     names = data.draw(labels())
     docs = {"cap": data.draw(capacity_doc(names))}
     for i in range(count):
-        docs[f"c{i}"] = data.draw(collection_doc(data.draw(mostly(st.just(names), labels()))))
+        docs[f"c{i}"] = data.draw(scored_doc(data.draw(mostly(st.just(names), labels()))))
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_all(tmp, docs)
         check_contract(["perf", *paths.values(), "--measure", measure, *flags])
 
 
 @SETTINGS
-@given(doc=collection_doc(), flags=common_flags(),
+@given(doc=scored_doc(), flags=common_flags(),
        method=st.sampled_from(["shapley", "banzhaf"]))
 def test_incompat(doc, flags, method):
     with tempfile.TemporaryDirectory() as tmp:

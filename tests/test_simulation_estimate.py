@@ -4,7 +4,7 @@ import functools
 import itertools
 import json
 import math
-import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +26,6 @@ from axiometer.simulation import (
     estimated_to_json,
     experiment_from_json,
     run_experiment,
-    thread_cap,
 )
 
 from conftest import random_capacity
@@ -116,21 +115,22 @@ class TestEstimate:
         np.testing.assert_array_equal(a.collection.p, c.collection.p)
         np.testing.assert_array_equal(a.world_counts, c.world_counts)
 
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        kwargs = dict(rule=PLURALITY, axioms=MIXED_TRIPLE, sampler=ImpartialCulture(),
-                      m=3, n=3, n_samples=2000, seed=5)
-        monkeypatch.delenv("AXIOMETER_THREADS", raising=False)
-        serial = estimate_collection(**kwargs)
-        monkeypatch.setenv("AXIOMETER_THREADS", "4")
-        threaded = estimate_collection(**kwargs)
-        np.testing.assert_array_equal(serial.collection.p, threaded.collection.p)
+    def test_runs_on_the_calling_thread_whatever_the_environment(self, monkeypatch):
+        # older versions started a thread pool when this variable was set
+        def refuse(self):
+            raise AssertionError("estimate_collection started a thread")
 
-    def test_thread_cap_is_clamped_to_the_cpu_count(self, monkeypatch):
-        # only reads the setting, so no thread is started
-        monkeypatch.setenv("AXIOMETER_THREADS", "1000000")
-        assert thread_cap() == (os.cpu_count() or 1)
-        monkeypatch.setenv("AXIOMETER_THREADS", "-3")
-        assert thread_cap() == 1
+        monkeypatch.setenv("AXIOMETER_THREADS", "2")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        est = estimate_collection(PLURALITY, MIXED_TRIPLE, ImpartialCulture(), 3, 3, 64, 5)
+        assert est.world_counts.sum() == 64
+
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_chunk_size_below_one_is_rejected(self, chunk_size):
+        with pytest.raises(RangeError, match="chunk size"):
+            estimate_collection(
+                PLURALITY, PUNCTUAL_PAIR, ImpartialCulture(), 3, 3, 10, 1, chunk_size
+            )
 
     def test_counts_consistent_with_probabilities(self):
         est = estimate_collection(PLURALITY, PUNCTUAL_PAIR, ImpartialCulture(), 3, 3, 1500, 3)
