@@ -84,6 +84,7 @@ from .robustness import (
     CollectionFamily,
     Comparison,
     alpha_maxmin_score,
+    compare_alpha_maxmin,
     compare_max_and_min,
     compare_min_vs_max,
     compare_pointwise,

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from .capacities import capacity_from_json
@@ -40,7 +41,7 @@ from .lattice import popcounts, subset_keys, subset_map
 from .performance import MEASURE_TAGS, evaluate, rank_values, require_one_axiom_set
 from .robustness import (
     CRITERION_TAGS,
-    alpha_maxmin_score,
+    compare_alpha_maxmin,
     compare_max_and_min,
     compare_min_vs_max,
     compare_pointwise,
@@ -279,63 +280,48 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     cap = capacity_from_json(_load_json(args.capacity))
-    fam_f = family_from_json(_load_json(args.family_f), args.tol)
-    fam_g = family_from_json(_load_json(args.family_g), args.tol)
-    if args.criterion == "alpha_maxmin":
-        score_f = alpha_maxmin_score(cap, fam_f, args.alpha, args.measure, args.tol)
-        score_g = alpha_maxmin_score(cap, fam_g, args.alpha, args.measure, args.tol)
-        if abs(score_f - score_g) <= args.tol:
-            verdict = "equivalent"
-        else:
-            verdict = "better" if score_f > score_g else "worse"
-        payload = {
-            "criterion": "alpha_maxmin",
-            "alpha": args.alpha,
-            "verdict": verdict,
-            "score_f": score_f,
-            "score_g": score_g,
-        }
-        _emit(
-            args,
-            payload,
-            lambda: (
-                f"criterion: alpha_maxmin (alpha={args.alpha:g})\n"
-                f"verdict: {verdict}\n"
-                f"score F: {score_f:.6f}\nscore G: {score_g:.6f}"
-            ),
-        )
-        return EXIT_OK
+    fam_f = family_from_json(_load_json(args.family_f))
+    fam_g = family_from_json(_load_json(args.family_g))
     compare = {
+        "alpha_maxmin": partial(compare_alpha_maxmin, alpha=args.alpha),
         "max_and_min": compare_max_and_min,
         "pointwise": compare_pointwise,
         "min_vs_max": compare_min_vs_max,
     }[args.criterion]
-    result = compare(cap, fam_f, fam_g, args.measure, args.tol)
-    payload = {
-        "criterion": result.criterion,
-        "verdict": result.verdict,
-        "values_f": dict(zip(fam_f.model_names, result.values_f)),
-        "values_g": dict(zip(fam_g.model_names, result.values_g)),
-    }
-
-    def table() -> str:
-        lines = [f"criterion: {result.criterion}", f"verdict: {result.verdict}"]
+    result = compare(cap, fam_f, fam_g, measure=args.measure, tol=args.tol)
+    payload = {"criterion": result.criterion, "verdict": result.verdict}
+    lines = [f"criterion: {result.criterion}", f"verdict: {result.verdict}"]
+    if result.criterion == "alpha_maxmin":
+        (score_f,), (score_g,) = result.values_f, result.values_g
+        payload.update(alpha=args.alpha, score_f=score_f, score_g=score_g)
+        lines[0] += f" (alpha={args.alpha:g})"
+        lines += [f"score F: {score_f:.6f}", f"score G: {score_g:.6f}"]
+    else:
+        payload["values_f"] = dict(zip(fam_f.model_names, result.values_f))
+        payload["values_g"] = dict(zip(fam_g.model_names, result.values_g))
         lines.append("values F: " + "  ".join(f"{v:.6f}" for v in result.values_f))
         lines.append("values G: " + "  ".join(f"{v:.6f}" for v in result.values_g))
-        return "\n".join(lines)
-
-    _emit(args, payload, table)
+    _emit(args, payload, lambda: "\n".join(lines))
     return EXIT_OK
 
 
-def _tolerance(text: str) -> float:
+def _number(text: str, accept, wanted: str) -> float:
+    """``float(text)`` if it is finite and ``accept`` holds, else a usage error."""
     try:
-        tol = float(text)
+        value = float(text)
     except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return tol
+        value = math.nan
+    if not (math.isfinite(value) and accept(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number {wanted}, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    return _number(text, lambda tol: tol >= 0.0, ">= 0")
+
+
+def _alpha(text: str) -> float:
+    return _number(text, lambda alpha: 0.0 <= alpha <= 1.0, "in [0, 1]")
 
 
 def _seed(text: str) -> int:
@@ -391,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family_f")
     p.add_argument("family_g")
     p.add_argument("--criterion", choices=CRITERION_TAGS, default="max_and_min")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--alpha", type=_alpha, default=0.5, help="alpha_maxmin weight in [0, 1]")
     p.add_argument("--measure", choices=MEASURE_TAGS, default="moebius")
     _add_common(p)
     p.set_defaults(handler=cmd_compare)

@@ -93,12 +93,12 @@ class AxiomSet:
         self._check_mask(mask)
         return tuple(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
 
-    def subset_key(self, mask: int, sep: str = "+") -> str:
+    def subset_key(self, mask: int) -> str:
         """Join the member labels, e.g. mask 0b101 -> ``"a1+a3"``.
 
         For many masks at once, index :func:`subset_keys` instead.
         """
-        return sep.join(self.members(mask))
+        return "+".join(self.members(mask))
 
     def nonempty_masks(self) -> range:
         return range(1, self.n_masks)

@@ -16,12 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .capacities import Capacity
-from .collections import (
-    DEFAULT_TOL,
-    Collection,
-    collection_from_json,
-    require_member,
-)
+from .collections import DEFAULT_TOL, Collection, collection_from_json
 from .errors import AlignmentError, ParseError, RangeError, SchemaError, WeightError
 from .lattice import AxiomSet, subset_map
 from .performance import evaluate
@@ -38,8 +33,8 @@ CRITERION_TAGS = ("alpha_maxmin", "max_and_min", "pointwise", "min_vs_max")
 class CollectionFamily:
     """Collections of one rule under K probability models.
 
-    Construction does not check feasibility: every evaluation does, at the
-    caller's tolerance, and :func:`family_from_json` does at its own.
+    Neither construction nor :func:`family_from_json` checks feasibility:
+    every evaluation checks each member it reads, at the caller's tolerance.
     """
 
     axioms: AxiomSet
@@ -128,6 +123,17 @@ def alpha_maxmin_score(
     return float(alpha * values.max() + (1.0 - alpha) * values.min())
 
 
+def _verdict(f_ahead: bool, g_ahead: bool) -> str:
+    """The verdict on F when each family is or is not ahead of the other, up to tol."""
+    if f_ahead and g_ahead:
+        return EQUIVALENT
+    if f_ahead:
+        return BETTER
+    if g_ahead:
+        return WORSE
+    return INCOMPARABLE
+
+
 def _check_families(cap: Capacity, fam_f: CollectionFamily, fam_g: CollectionFamily) -> None:
     if fam_f.axioms.labels != fam_g.axioms.labels:
         raise SchemaError("families use different axiom sets")
@@ -148,14 +154,7 @@ def compare_max_and_min(
     vg = family_values(cap, fam_g, measure, tol)
     d_max = float(vf.max() - vg.max())
     d_min = float(vf.min() - vg.min())
-    if abs(d_max) <= tol and abs(d_min) <= tol:
-        verdict = EQUIVALENT
-    elif d_max >= -tol and d_min >= -tol:
-        verdict = BETTER
-    elif d_max <= tol and d_min <= tol:
-        verdict = WORSE
-    else:
-        verdict = INCOMPARABLE
+    verdict = _verdict(d_max >= -tol and d_min >= -tol, d_max <= tol and d_min <= tol)
     return Comparison(verdict, "max_and_min", tuple(vf), tuple(vg))
 
 
@@ -176,14 +175,7 @@ def compare_pointwise(
     vf = family_values(cap, fam_f, measure, tol)
     vg = family_values(cap, fam_g, measure, tol)
     diff = vf - vg
-    if np.all(np.abs(diff) <= tol):
-        verdict = EQUIVALENT
-    elif np.all(diff >= -tol):
-        verdict = BETTER
-    elif np.all(diff <= tol):
-        verdict = WORSE
-    else:
-        verdict = INCOMPARABLE
+    verdict = _verdict(bool(np.all(diff >= -tol)), bool(np.all(diff <= tol)))
     return Comparison(verdict, "pointwise", tuple(vf), tuple(vg))
 
 
@@ -198,17 +190,26 @@ def compare_min_vs_max(
     _check_families(cap, fam_f, fam_g)
     vf = family_values(cap, fam_f, measure, tol)
     vg = family_values(cap, fam_g, measure, tol)
-    f_dominates = float(vf.min()) >= float(vg.max()) - tol
-    g_dominates = float(vg.min()) >= float(vf.max()) - tol
-    if f_dominates and g_dominates:
-        verdict = EQUIVALENT
-    elif f_dominates:
-        verdict = BETTER
-    elif g_dominates:
-        verdict = WORSE
-    else:
-        verdict = INCOMPARABLE
+    verdict = _verdict(
+        float(vf.min()) >= float(vg.max()) - tol, float(vg.min()) >= float(vf.max()) - tol
+    )
     return Comparison(verdict, "min_vs_max", tuple(vf), tuple(vg))
+
+
+def compare_alpha_maxmin(
+    cap: Capacity,
+    fam_f: CollectionFamily,
+    fam_g: CollectionFamily,
+    alpha: float,
+    measure: str = "moebius",
+    tol: float = DEFAULT_TOL,
+) -> Comparison:
+    """Better iff the alpha-maxmin score of F beats that of G by more than ``tol``."""
+    _check_families(cap, fam_f, fam_g)
+    score_f = alpha_maxmin_score(cap, fam_f, alpha, measure, tol)
+    score_g = alpha_maxmin_score(cap, fam_g, alpha, measure, tol)
+    diff = score_f - score_g
+    return Comparison(_verdict(diff >= -tol, diff <= tol), "alpha_maxmin", (score_f,), (score_g,))
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +220,12 @@ def compare_min_vs_max(
 # ---------------------------------------------------------------------------
 
 
-def family_from_json(data: dict, tol: float = DEFAULT_TOL) -> CollectionFamily:
-    """Parse the family schema; raises ParseError on any deviation and
-    InfeasibleCollectionError when a member is infeasible at ``tol``."""
+def family_from_json(data: dict) -> CollectionFamily:
+    """Parse the family schema; raises ParseError on any deviation.
+
+    Feasibility is not checked here: the evaluation that reads a member
+    checks it, at the caller's tolerance (see :class:`CollectionFamily`).
+    """
     from .collections import _axioms_from_json, _subset_array_from_json
 
     if not isinstance(data, dict):
@@ -253,8 +257,6 @@ def family_from_json(data: dict, tol: float = DEFAULT_TOL) -> CollectionFamily:
             members.append(Collection(axioms=axioms, p=p))
         except RangeError as exc:
             raise ParseError(str(exc)) from exc
-    for member in members:
-        require_member(member, tol)
     return CollectionFamily(axioms=axioms, members=tuple(members), model_names=tuple(models))
 
 

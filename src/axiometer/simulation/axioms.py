@@ -29,36 +29,31 @@ RELATIONAL_TAGS = ("monotonicity_pair", "strategyproof_pair")
 
 @dataclass(frozen=True)
 class AxiomSpec:
-    """A named axiom: punctual (arity 1) or relational (arity 2)."""
+    """A named axiom: punctual (arity 1) or relational (arity 2), as its predicate is."""
 
     name: str
-    kind: str
-    arity: int
     predicate: str
 
     def __post_init__(self):
-        if self.predicate in PUNCTUAL_TAGS:
-            expected = ("punctual", 1)
-        elif self.predicate in RELATIONAL_TAGS:
-            expected = ("relational", 2)
-        else:
+        if self.predicate not in PUNCTUAL_TAGS + RELATIONAL_TAGS:
             raise RangeError(
                 f"unknown predicate {self.predicate!r}; "
                 f"choose from {PUNCTUAL_TAGS + RELATIONAL_TAGS}"
             )
-        if (self.kind, self.arity) != expected:
-            raise RangeError(
-                f"predicate {self.predicate!r} requires kind={expected[0]!r}, "
-                f"arity={expected[1]}"
-            )
         if not self.name:
             raise RangeError("axiom name must be non-empty")
 
+    @property
+    def kind(self) -> str:
+        return "punctual" if self.predicate in PUNCTUAL_TAGS else "relational"
+
+    @property
+    def arity(self) -> int:
+        return 1 if self.predicate in PUNCTUAL_TAGS else 2
+
     @classmethod
     def builtin(cls, predicate: str, name: str | None = None) -> "AxiomSpec":
-        kind = "punctual" if predicate in PUNCTUAL_TAGS else "relational"
-        arity = 1 if kind == "punctual" else 2
-        return cls(name=name or predicate, kind=kind, arity=arity, predicate=predicate)
+        return cls(name=name or predicate, predicate=predicate)
 
 
 class EvaluatedProfiles:

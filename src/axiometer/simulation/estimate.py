@@ -22,13 +22,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from ..collections import Collection
 from ..errors import ParseError, RangeError, SizeError
-from ..lattice import AxiomSet, subset_map, zeta_superset
+from ..lattice import AxiomSet, moebius_superset, subset_map, zeta_superset
 from .axioms import (
     PUNCTUAL_TAGS,
     RELATIONAL_TAGS,
@@ -44,7 +45,9 @@ from .rules import RULE_TAGS, VotingRule
 #: classes, times 1 + min(n, m!) * (m! - 1) when an axiom is relational.
 ENUMERATION_GUARD = 10**8
 
-_DEFAULT_CHUNK = 1 << 16
+#: Most tuples (Monte Carlo) or count-class rows (exact enumeration) that one
+#: block evaluates at once; it bounds memory and changes no result.
+CHUNK_TUPLES = 1 << 16
 
 #: Top-level keys of the estimator output schema.
 _ESTIMATE_KEYS = frozenset({"axioms", "p", "N", "seed", "stderr"})
@@ -58,9 +61,19 @@ class EstimatedCollection:
     n_samples: int
     seed: int
     sampler: str
-    world_counts: np.ndarray
     subset_counts: np.ndarray
     stderr: np.ndarray
+
+    @cached_property
+    def world_counts(self) -> np.ndarray:
+        """Tuples per world, the superset Moebius image of ``subset_counts``.
+
+        Exact: every partial sum of the transform counts tuples, so it is an
+        integer of at most ``n_samples`` <= 2**53.
+        """
+        counts = np.rint(moebius_superset(self.subset_counts)).astype(np.int64)
+        counts.setflags(write=False)
+        return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,26 +137,23 @@ def estimate_collection(
     n: int,
     n_samples: int,
     seed: int,
-    chunk_size: int = _DEFAULT_CHUNK,
 ) -> EstimatedCollection:
     """Monte Carlo estimate of the satisfaction collection.
 
     Draws ``n_samples`` i.i.d. tuples of profiles from ``sampler`` in blocks
-    of at most ``chunk_size`` tuples, computes each tuple's world, and reads
+    of at most ``CHUNK_TUPLES`` tuples, computes each tuple's world, and reads
     the subset probabilities off the world counts.  Deterministic given
     ``seed``; the block size changes neither the draws nor the result.
     """
     check_problem_size(m, n)
     if n_samples < 1:
         raise RangeError(f"sample count must be at least 1, got {n_samples}")
-    if chunk_size < 1:
-        raise RangeError(f"chunk size must be at least 1, got {chunk_size}")
     axiom_set, tuple_width = _battery(axioms)
     sampler.ranking_pmf(m)  # validates sampler/m compatibility up front
     rng = np.random.default_rng(seed)
     world_counts = np.zeros(axiom_set.n_masks, dtype=np.int64)
-    for start in range(0, n_samples, chunk_size):
-        block = min(chunk_size, n_samples - start)
+    for start in range(0, n_samples, CHUNK_TUPLES):
+        block = min(CHUNK_TUPLES, n_samples - start)
         rankings = sampler.sample(rng, m, (block, tuple_width, n))
         worlds = _worlds(rule, axioms, rankings, m, n)
         world_counts += np.bincount(worlds, minlength=axiom_set.n_masks)
@@ -154,14 +164,13 @@ def estimate_collection(
     p[0] = 1.0
     stderr = np.sqrt(p * (1.0 - p) / float(n_samples))
     collection = Collection(axioms=axiom_set, p=p)
-    for arr in (world_counts, subset_counts, stderr):
+    for arr in (subset_counts, stderr):
         arr.setflags(write=False)
     return EstimatedCollection(
         collection=collection,
         n_samples=n_samples,
         seed=seed,
         sampler=sampler.kind,
-        world_counts=world_counts,
         subset_counts=subset_counts,
         stderr=stderr,
     )
@@ -182,9 +191,7 @@ def _guard(m: int, n: int, tuple_width: int) -> None:
         )
 
 
-def _exact_worlds(
-    rule: VotingRule, axioms: Sequence[AxiomSpec], m: int, n: int, pmf: np.ndarray, chunk_size: int
-):
+def _exact_worlds(rule: VotingRule, axioms: Sequence[AxiomSpec], m: int, n: int, pmf: np.ndarray):
     """Yield ``(worlds, weights)`` blocks whose weighted rows cover every tuple once.
 
     Rules and predicates read a profile only through its ballot counts c, and
@@ -202,7 +209,7 @@ def _exact_worlds(
     second_mass = scale.sum() ** n
     binom = np.array([[math.comb(s, k) for k in range(n + 1)] for s in range(n + 1)], dtype=float)
     classes = itertools.combinations_with_replacement(range(fact), n)
-    per_block = max(1, chunk_size // _class_rows(fact, n, relational > 0))
+    per_block = max(1, CHUNK_TUPLES // _class_rows(fact, n, relational > 0))
     while True:
         block = itertools.chain.from_iterable(itertools.islice(classes, per_block))
         reps = np.fromiter(block, dtype=np.int64).reshape(-1, n)
@@ -232,7 +239,6 @@ def enumerate_collection(
     m: int,
     n: int,
     sampler=None,
-    chunk_size: int = _DEFAULT_CHUNK,
 ) -> Collection:
     """Exact collection by weighted sweep over every tuple of profiles.
 
@@ -244,7 +250,7 @@ def enumerate_collection(
     _guard(m, n, tuple_width)
     pmf = (sampler if sampler is not None else ImpartialCulture()).ranking_pmf(m)
     weighted = np.zeros(axiom_set.n_masks)
-    for worlds, weights in _exact_worlds(rule, axioms, m, n, pmf, chunk_size):
+    for worlds, weights in _exact_worlds(rule, axioms, m, n, pmf):
         weighted += np.bincount(worlds, weights, minlength=axiom_set.n_masks)
     p = zeta_superset(weighted)
     p /= p[0]
@@ -259,7 +265,6 @@ def dominance_check(
     axioms: Sequence[AxiomSpec],
     m: int,
     n: int,
-    chunk_size: int = _DEFAULT_CHUNK,
 ) -> DominanceResult:
     """Instance-level dominance of ``rule_f`` over ``rule_g``.
 
@@ -276,8 +281,8 @@ def dominance_check(
     pmf = ImpartialCulture().ranking_pmf(m)  # any pmf: the weights are ignored
     pair_codes: set[int] = set()
     for (wf, _), (wg, _) in zip(
-        _exact_worlds(rule_f, axioms, m, n, pmf, chunk_size),
-        _exact_worlds(rule_g, axioms, m, n, pmf, chunk_size),
+        _exact_worlds(rule_f, axioms, m, n, pmf),
+        _exact_worlds(rule_g, axioms, m, n, pmf),
     ):
         pair_codes.update(np.unique((wg << j) | wf).tolist())
 
@@ -396,12 +401,10 @@ def estimated_to_json(est: EstimatedCollection) -> dict:
 def estimated_from_json(data: dict) -> EstimatedCollection:
     """Parse the estimator output schema back into an EstimatedCollection.
 
-    World counts are recovered exactly from the subset counts (they are each
-    other's superset zeta/Moebius images); the sampler tag is not part of the
+    The subset counts are p * N, rounded; the sampler tag is not part of the
     schema and comes back as "unknown".
     """
     from ..collections import _subset_array_from_json, collection_from_json
-    from ..lattice import moebius_superset
 
     if not isinstance(data, dict):
         raise ParseError("estimate document must be a JSON object")
@@ -420,17 +423,13 @@ def estimated_from_json(data: dict) -> EstimatedCollection:
     axioms = collection.axioms
     stderr = _subset_array_from_json(axioms, data["stderr"], "stderr", 0.0)
     subset_counts = np.rint(collection.p * n_samples).astype(np.int64)
-    world_counts = np.rint(
-        moebius_superset(subset_counts.astype(np.float64))
-    ).astype(np.int64)
-    for arr in (world_counts, subset_counts, stderr):
+    for arr in (subset_counts, stderr):
         arr.setflags(write=False)
     return EstimatedCollection(
         collection=collection,
         n_samples=n_samples,
         seed=data["seed"],
         sampler="unknown",
-        world_counts=world_counts,
         subset_counts=subset_counts,
         stderr=stderr,
     )

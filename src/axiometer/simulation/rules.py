@@ -23,13 +23,10 @@ class VotingRule:
     """One of the built-in rules; ties always break towards lower indices."""
 
     name: str
-    tie_break: str = "lexicographic"
 
     def __post_init__(self):
         if self.name not in RULE_TAGS:
             raise RangeError(f"unknown rule {self.name!r}; choose from {RULE_TAGS}")
-        if self.tie_break != "lexicographic":
-            raise RangeError("only the lexicographic tie-break is supported")
 
 
 def ranking_counts(rankings: np.ndarray, m: int) -> np.ndarray:

@@ -112,10 +112,28 @@ def test_zero_tolerance_is_accepted():
     assert main(["validate", str(DEMO / "collection_three_axioms.json"), "--tol", "0"]) == 0
 
 
+COMPARE_ARGV = ["compare"] + [str(DEMO / f) for f in (
+    "capacity_battery.json", "family_copeland.json", "family_plurality.json")]
+
+
 def test_alpha_nan_exits_two():
-    argv = ["compare"] + [str(DEMO / f) for f in (
-        "capacity_battery.json", "family_copeland.json", "family_plurality.json")]
-    assert main(argv + ["--criterion", "alpha_maxmin", "--alpha", "nan"]) == 2
+    with pytest.raises(SystemExit) as info:
+        main(COMPARE_ARGV + ["--criterion", "alpha_maxmin", "--alpha", "nan"])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-0.5", "1.5", "half"])
+@pytest.mark.parametrize("criterion", ["alpha_maxmin", "max_and_min", "pointwise", "min_vs_max"])
+def test_alpha_is_checked_whatever_the_criterion(criterion, alpha, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(COMPARE_ARGV + ["--criterion", criterion, f"--alpha={alpha}"])
+    assert info.value.code == 2
+    assert "must be a finite number in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["0", "1"])
+def test_alpha_bounds_are_accepted(alpha):
+    assert main(COMPARE_ARGV + ["--criterion", "max_and_min", "--alpha", alpha]) == 0
 
 
 def test_emit_refuses_non_finite_json(capsys):

@@ -1,5 +1,8 @@
 """Family summaries, alpha-maxmin scores, and the three partial criteria."""
 
+import itertools
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from axiometer import (
     SchemaError,
     WeightError,
     alpha_maxmin_score,
+    compare_alpha_maxmin,
     compare_max_and_min,
     compare_min_vs_max,
     compare_pointwise,
@@ -250,8 +254,7 @@ class TestFamilyJson:
             family_from_json(doc)
 
     def test_infeasible_member_rejected(self, abc):
-        from axiometer import InfeasibleCollectionError
-
+        # parsing accepts it; the evaluation that reads it rejects it
         doc = {
             "axioms": ["a1", "a2", "a3"],
             "models": ["bad"],
@@ -263,8 +266,10 @@ class TestFamilyJson:
                 }
             ],
         }
+        family = family_from_json(doc)
+        cap = capacity3(SYNERGY_U)
         with pytest.raises(InfeasibleCollectionError):
-            family_from_json(doc)
+            compare_max_and_min(cap, family, family)
 
 
 class TestFeasibilityIsCheckedAtTheCallersTol:
@@ -277,7 +282,12 @@ class TestFeasibilityIsCheckedAtTheCallersTol:
             axioms=abc, members=(collection3(BASELINE_P),), model_names=("m",)
         )
         cap = capacity3(SYNERGY_U)
-        for compare in (compare_max_and_min, compare_pointwise, compare_min_vs_max):
+        for compare in (
+            compare_max_and_min,
+            compare_pointwise,
+            compare_min_vs_max,
+            partial(compare_alpha_maxmin, alpha=0.5),
+        ):
             with pytest.raises(InfeasibleCollectionError):
                 compare(cap, family, good)
             with pytest.raises(InfeasibleCollectionError):
@@ -286,10 +296,73 @@ class TestFeasibilityIsCheckedAtTheCallersTol:
         with pytest.raises(InfeasibleCollectionError):
             alpha_maxmin_score(cap, family, 0.5)
 
-    def test_family_from_json_checks_at_its_tol(self, abc):
-        doc = family_to_json(
-            CollectionFamily(axioms=abc, members=(collection3(FLAT_P),), model_names=("m",))
-        )
-        with pytest.raises(InfeasibleCollectionError):
-            family_from_json(doc)
-        assert family_from_json(doc, tol=0.5).size == 1
+
+def reference_verdict(criterion, vf, vg, alpha, tol):
+    """Each criterion as defined, on plain Python floats."""
+    if criterion == "alpha_maxmin":
+        sf = alpha * max(vf) + (1.0 - alpha) * min(vf)
+        sg = alpha * max(vg) + (1.0 - alpha) * min(vg)
+        if abs(sf - sg) <= tol:
+            return "equivalent"
+        return "better" if sf > sg else "worse"
+    if criterion == "min_vs_max":
+        f_ahead = min(vf) >= max(vg) - tol
+        g_ahead = min(vg) >= max(vf) - tol
+        if f_ahead and g_ahead:
+            return "equivalent"
+        if f_ahead or g_ahead:
+            return "better" if f_ahead else "worse"
+        return "incomparable"
+    if criterion == "max_and_min":
+        diffs = [max(vf) - max(vg), min(vf) - min(vg)]
+    else:
+        diffs = [a - b for a, b in zip(vf, vg)]
+    if all(abs(d) <= tol for d in diffs):
+        return "equivalent"
+    if all(d >= -tol for d in diffs):
+        return "better"
+    if all(d <= tol for d in diffs):
+        return "worse"
+    return "incomparable"
+
+
+COMPARE = {
+    "alpha_maxmin": compare_alpha_maxmin,
+    "max_and_min": compare_max_and_min,
+    "pointwise": compare_pointwise,
+    "min_vs_max": compare_min_vs_max,
+}
+
+
+@pytest.mark.parametrize("criterion", COMPARE)
+def test_verdicts_at_the_tolerance_boundary(criterion):
+    # quarter steps are exact in binary, so many differences are exactly +-tol
+    grid = [0.0, 0.25, 0.5, 0.75]
+    pairs = list(itertools.product(grid, repeat=2))
+    families = {vals: fam(vals) for vals in pairs}
+    for vals, family in families.items():
+        assert family_values(UNIT_CAP, family).tolist() == list(vals)
+    alphas = (0.0, 0.5, 1.0) if criterion == "alpha_maxmin" else (None,)
+    seen = set()
+    for (vf, fam_f), (vg, fam_g), tol, alpha in itertools.product(
+        families.items(), families.items(), (0.0, 0.25), alphas
+    ):
+        compare = COMPARE[criterion]
+        if alpha is not None:
+            compare = partial(compare, alpha=alpha)
+        got = compare(UNIT_CAP, fam_f, fam_g, tol=tol)
+        assert got.verdict == reference_verdict(criterion, vf, vg, alpha, tol), (vf, vg, tol)
+        seen.add(got.verdict)
+    expected = {"equivalent", "better", "worse"}
+    assert seen == (expected if criterion == "alpha_maxmin" else expected | {"incomparable"})
+
+
+def test_compare_alpha_maxmin_reports_the_two_scores():
+    f, g = fam([0.2, 0.9]), fam([0.5])
+    got = compare_alpha_maxmin(UNIT_CAP, f, g, alpha=0.0)
+    assert (got.criterion, got.verdict) == ("alpha_maxmin", "worse")
+    assert got.values_f == (alpha_maxmin_score(UNIT_CAP, f, 0.0),)
+    assert got.values_g == (alpha_maxmin_score(UNIT_CAP, g, 0.0),)
+    assert compare_alpha_maxmin(UNIT_CAP, f, g, alpha=1.0).verdict == "better"
+    with pytest.raises(RangeError):
+        compare_alpha_maxmin(UNIT_CAP, f, g, alpha=float("nan"))

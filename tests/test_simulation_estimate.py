@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import axiometer.simulation.estimate as estimate_module
 from axiometer import is_member, perf_moebius
 from axiometer.errors import ParseError, RangeError, SizeError
 from axiometer.simulation import (
@@ -105,12 +106,13 @@ class TestEstimate:
             if not mask & mono_bit:
                 assert p[mask | mono_bit] == pytest.approx(p[mask], abs=1e-12)
 
-    def test_deterministic_and_chunking_invariant(self):
+    def test_deterministic_and_chunking_invariant(self, monkeypatch):
         kwargs = dict(rule=PLURALITY, axioms=MIXED_TRIPLE, sampler=ImpartialCulture(),
                       m=3, n=3, n_samples=4321, seed=99)
         a = estimate_collection(**kwargs)
         b = estimate_collection(**kwargs)
-        c = estimate_collection(**kwargs, chunk_size=100)
+        monkeypatch.setattr(estimate_module, "CHUNK_TUPLES", 100)
+        c = estimate_collection(**kwargs)
         np.testing.assert_array_equal(a.collection.p, b.collection.p)
         np.testing.assert_array_equal(a.collection.p, c.collection.p)
         np.testing.assert_array_equal(a.world_counts, c.world_counts)
@@ -124,13 +126,6 @@ class TestEstimate:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         est = estimate_collection(PLURALITY, MIXED_TRIPLE, ImpartialCulture(), 3, 3, 64, 5)
         assert est.world_counts.sum() == 64
-
-    @pytest.mark.parametrize("chunk_size", [0, -5])
-    def test_chunk_size_below_one_is_rejected(self, chunk_size):
-        with pytest.raises(RangeError, match="chunk size"):
-            estimate_collection(
-                PLURALITY, PUNCTUAL_PAIR, ImpartialCulture(), 3, 3, 10, 1, chunk_size
-            )
 
     def test_counts_consistent_with_probabilities(self):
         est = estimate_collection(PLURALITY, PUNCTUAL_PAIR, ImpartialCulture(), 3, 3, 1500, 3)
@@ -246,10 +241,11 @@ class TestEnumerate:
     @pytest.mark.parametrize("axioms", [PUNCTUAL_PAIR, MIXED_TRIPLE], ids=["punctual", "mixed"])
     @pytest.mark.parametrize("sampler", [ImpartialCulture(), Mallows(0.5, (0, 1, 2))],
                              ids=["ic", "mallows"])
-    def test_chunking_invariant(self, axioms, sampler, n):
+    def test_chunking_invariant(self, axioms, sampler, n, monkeypatch):
         whole = enumerate_collection(PLURALITY, axioms, 3, n, sampler)
-        for chunk_size in (1, 17):
-            chunked = enumerate_collection(PLURALITY, axioms, 3, n, sampler, chunk_size)
+        for chunk_tuples in (1, 17):
+            monkeypatch.setattr(estimate_module, "CHUNK_TUPLES", chunk_tuples)
+            chunked = enumerate_collection(PLURALITY, axioms, 3, n, sampler)
             if isinstance(sampler, ImpartialCulture):  # exact tuple counts
                 np.testing.assert_array_equal(chunked.p, whole.p)
             else:
@@ -338,11 +334,12 @@ class TestDominance:
     # sizes at which some subsets are dominated and some are not
     @pytest.mark.parametrize("axioms, n", [(PUNCTUAL_PAIR, 3), (MIXED_TRIPLE, 2)],
                              ids=["punctual", "mixed"])
-    def test_chunking_invariant(self, axioms, n):
+    def test_chunking_invariant(self, axioms, n, monkeypatch):
         whole = dominance_check(PLURALITY, BORDA, axioms, 3, n)
         assert whole.per_mask.any() and not whole.per_mask.all()
-        for chunk_size in (1, 17):
-            chunked = dominance_check(PLURALITY, BORDA, axioms, 3, n, chunk_size)
+        for chunk_tuples in (1, 17):
+            monkeypatch.setattr(estimate_module, "CHUNK_TUPLES", chunk_tuples)
+            chunked = dominance_check(PLURALITY, BORDA, axioms, 3, n)
             np.testing.assert_array_equal(chunked.per_mask, whole.per_mask)
 
 
