@@ -15,8 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .collections import _check_tol
 from .errors import MonotonicityError, RangeError
-from .lattice import AxiomSet, halves, moebius_subset, popcounts, subset_map, subset_vector
+from .lattice import AxiomSet, _pairs, moebius_subset, popcounts, subset_map, subset_vector
 
 #: Above this J the 3**J bipartition sweep for the additivity flags is skipped.
 ADDITIVITY_CHECK_MAX_AXIOMS = 14
@@ -83,19 +84,20 @@ def validate_capacity(cap: Capacity, tol: float = 1e-9) -> CapacityReport:
     sub-additivity compare u[S] with u[T] + u[S - T] for every proper
     non-empty T of every S.  There are 3**J such (T, S - T) pairs, so the
     sweep runs in chunks of 3**ADDITIVITY_CHUNK_AXIOMS pairs, stops as soon as
-    both flags are False, and is skipped above J = 14.
+    both flags are False, and is skipped above J = 14.  ``tol`` must be a
+    finite number >= 0.
     """
+    _check_tol(tol)
     u = cap.u
     j = cap.axioms.size
-    monotone = True
-    strict = True
-    for b in range(j):
-        without, with_b = halves(u, b)
-        diff = with_b - without
-        if np.any(diff < -tol):
-            monotone = False
-        if np.any(diff <= tol):
-            strict = False
+    # The least step u[S + a] - u[S] decides both flags (min is exact, u finite).
+    scratch = np.empty(u.shape[0] // 2)
+    least = np.inf
+    for _, without, with_b in _pairs(u):
+        diff = scratch[: without.size].reshape(without.shape)
+        least = min(least, np.subtract(with_b, without, out=diff).min())
+    monotone = not least < -tol
+    strict = not least <= tol
     if j > ADDITIVITY_CHECK_MAX_AXIOMS:
         return CapacityReport(monotone, strict, None, None, False, tol)
     superadditive = True

@@ -16,6 +16,7 @@ rejected at construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -32,6 +33,7 @@ from .errors import (
 )
 from .lattice import (
     AxiomSet,
+    _pairs,
     halves,
     moebius_superset,
     subset_keys,
@@ -144,11 +146,34 @@ def contributions(c: Collection, tol: float = DEFAULT_TOL) -> ContributionVector
     return ContributionVector(axioms=c.axioms, alpha=alpha, tol=tol)
 
 
+def _check_tol(tol: float) -> None:
+    """Raise RangeError unless ``tol`` is a finite number >= 0."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise RangeError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def _frechet_violations(c: Collection, tol: float) -> list[FrechetViolation]:
+    # A blocked scan finds the bits with any slack above tol (max is exact and
+    # p is finite); only those bits are then extracted on the whole array.
     p = c.p
+    scratch = np.empty(p.shape[0] // 2)
+    hit_bits: set[int] = set()
+    for b, sub, with_b in _pairs(p):
+        if b in hit_bits:
+            continue
+        slack = scratch[: sub.size].reshape(sub.shape)
+        if np.subtract(with_b, sub, out=slack).max() > tol:
+            hit_bits.add(b)
+            continue
+        np.subtract(sub, 1.0 - p[1 << b], out=slack)
+        if np.subtract(slack, with_b, out=slack).max() > tol:
+            hit_bits.add(b)
+    if not hit_bits:
+        return []
     masks = np.arange(c.axioms.n_masks)
     out: list[FrechetViolation] = []
-    for b, label in enumerate(c.axioms.labels):
+    for b in sorted(hit_bits):
+        label = c.axioms.labels[b]
         sub, with_b = halves(p, b)
         mono = with_b - sub
         low = (sub - (1.0 - p[1 << b])) - with_b
@@ -166,8 +191,10 @@ def frechet_check(c: Collection, tol: float = DEFAULT_TOL) -> FeasibilityReport:
     For every subset S and axiom a in S: p[S] <= p[S \\ a] and
     p[S] >= p[S \\ a] - (1 - p[a]).  Passing these bounds does not certify
     feasibility (the report says so via ``checks="frechet"``); failing any of
-    them beyond ``tol`` certifies infeasibility.
+    them beyond ``tol`` certifies infeasibility.  ``tol`` must be a finite
+    number >= 0.
     """
+    _check_tol(tol)
     violations = _frechet_violations(c, tol)
     return FeasibilityReport(
         feasible=False if violations else None,
@@ -183,7 +210,9 @@ def is_member(c: Collection, tol: float = DEFAULT_TOL) -> FeasibilityReport:
     The contribution at mask 0 encodes the residual 1 minus the sum of the
     non-empty weights, so the single sign condition covers both requirements
     of the convex decomposition.  Contributions in (-tol, 0) are treated as 0.
+    ``tol`` must be a finite number >= 0.
     """
+    _check_tol(tol)
     alpha = moebius_superset(c.p)
     bad = np.nonzero(alpha < -tol)[0]
     negatives = tuple((int(m), float(alpha[m])) for m in bad)

@@ -6,11 +6,14 @@ arrays of length ``2**J`` indexed by mask, entry 0 being the empty set, so one
 carrier type serves satisfaction collections, contribution weights, capacities
 and games alike.  The four transforms below convert between a set function and
 its additive coefficients for the superset or subset order; each runs in
-O(J * 2**J) as one in-place pass per bit through :func:`sweep`, which runs the
-low bits on transposed cache-sized blocks.  Every sweep that pairs each subset
-S with S + a, here and in the other modules, goes through :func:`halves`, the
-one place that decodes the mask layout; it also pairs the rows of the 2-D
-transposed block.
+O(J * 2**J) as one in-place pass per bit through :func:`sweep`.  The passes
+come from :func:`_pairs`, the one block iterator: it yields the low bits on
+transposed cache-sized blocks and the high bits on the whole array.
+:func:`sweep` is its in-place user; the Fréchet bounds in ``collections`` and
+the monotone and strict flags in ``capacities`` are its read-only users.
+Every sweep that pairs each subset S with S + a, here and in the other
+modules, goes through :func:`halves`, the one place that decodes the mask
+layout; it also pairs the rows of the 2-D transposed block.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -151,13 +154,13 @@ def subset_vector(axioms: AxiomSet, values: Sequence[float] | np.ndarray) -> np.
     return arr.copy()
 
 
-def _prepare(values: np.ndarray | Sequence[float]) -> tuple[np.ndarray, int]:
+def _prepare(values: np.ndarray | Sequence[float]) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, order="C", copy=True)
     n = arr.shape[0] if arr.ndim == 1 else 0
     j = n.bit_length() - 1
     if n <= 0 or (1 << j) != n or j > MAX_AXIOMS:
         raise RangeError(f"subset vector length must be a power of two <= 2**{MAX_AXIOMS}")
-    return arr, j
+    return arr
 
 
 def halves(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,19 +177,22 @@ def halves(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     return v[:, 0, :], v[:, 1, :]
 
 
-def sweep(values, pair) -> np.ndarray:
-    """Return a float64 copy of ``values`` after ``pair(*halves(arr, b))`` for b = 0..J-1.
+def _pairs(arr: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(b, lo, hi)`` for b = 0..J-1, ``lo``/``hi`` pairing each mask
+    without bit b with the mask that has it, as :func:`halves` does.
 
-    ``pair(lo, hi)`` updates the views in place.  The low ``J // 2`` bits pair
-    entries that lie close together, so numpy would run them in short inner
-    loops; instead each block of about ``SWEEP_BLOCK_BYTES`` of the array,
-    seen as ``2**(J - J//2)`` rows of ``2**(J//2)``, is copied transposed into
-    one scratch buffer, swept there in inner loops at least as long as the
-    block has rows, and copied back.  The high bits then run on the array
-    itself.  Every entry sees the same operations in the same bit order as
-    with a plain per-bit loop, so the result is bit-identical to it.
+    ``arr`` is a C-contiguous 1-D array of length 2**J.  The low ``J // 2``
+    bits pair entries that lie close together, so numpy would run them in
+    short inner loops; instead each block of about ``SWEEP_BLOCK_BYTES`` of
+    the array, seen as ``2**(J - J//2)`` rows of ``2**(J//2)``, is copied
+    transposed into one scratch buffer, and its low bits are yielded there as
+    rows paired in inner loops at least as long as the block has rows.  Once
+    the caller resumes after the last low bit of a block, the buffer is
+    copied back into ``arr`` if ``arr`` is writeable, so the caller may update
+    the views in place.  The high bits are then yielded on ``arr`` itself.
+    Every entry is visited in the same bit order as in a plain per-bit loop.
     """
-    arr, j = _prepare(values)
+    j = arr.shape[0].bit_length() - 1
     low = j // 2
     m = arr.reshape(-1, 1 << low)
     fit = max(1, SWEEP_BLOCK_BYTES // m[0].nbytes)
@@ -197,10 +203,26 @@ def sweep(values, pair) -> np.ndarray:
         block = m[start : start + rows]
         np.copyto(t, block.T)
         for b in range(low):
-            pair(*halves(t, b + shift))
-        np.copyto(block, t.T)
+            yield (b, *halves(t, b + shift))
+        if arr.flags.writeable:
+            np.copyto(block, t.T)
     for b in range(low, j):
-        pair(*halves(arr, b))
+        yield (b, *halves(arr, b))
+
+
+def sweep(values, pair) -> np.ndarray:
+    """Return a float64 copy of ``values`` after ``pair(*halves(arr, b))`` for b = 0..J-1.
+
+    ``pair(lo, hi)`` updates the views in place.  They come from
+    :func:`_pairs`, which runs the low bits on transposed cache-sized blocks
+    and copies each block back into the fresh array; ``sweep`` is its one
+    in-place user, while the Fréchet and capacity scans only read the views.
+    Every entry sees the same operations in the same bit order as with a
+    plain per-bit loop, so the result is bit-identical to it.
+    """
+    arr = _prepare(values)
+    for _, lo, hi in _pairs(arr):
+        pair(lo, hi)
     return arr
 
 

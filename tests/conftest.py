@@ -8,8 +8,9 @@ distributions, and per-pair loops over every subset S and axiom a for the
 Fréchet bounds, the monotone and strict flags and the Banzhaf marginal sums,
 and a loop over every split T + (S - T) of every subset S for the
 additivity flags.  The per-bit references are the exception: they are the
-whole-array loops that the blocked sweep kernel replaced, kept so that the
-kernel can be checked against them bit for bit.
+whole-array loops that the blocked sweep kernel and the blocked Fréchet and
+capacity scans replaced, kept so that those can be checked against them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from axiometer import AxiomSet, Capacity, Collection
+from axiometer import AxiomSet, Capacity, Collection, FrechetViolation
 from axiometer.lattice import halves, popcounts
 
 PRESENTATION_MASKS = (1, 2, 4, 3, 5, 6, 7)
@@ -116,9 +117,10 @@ def naive_strict_superset_max(p: np.ndarray) -> np.ndarray:
 
 
 # --- per-bit references -------------------------------------------------------
-# The whole-array loops that lattice.sweep replaced, kept verbatim: one pass
-# over the whole array per bit b = 0..J-1.  The blocked kernel must reproduce
-# them to the last bit, so the tests compare with np.array_equal.
+# The whole-array loops that lattice.sweep and the blocked scans over its
+# block iterator replaced, kept verbatim: one pass over the whole array per
+# bit b = 0..J-1.  The blocked code must reproduce them to the last bit, so
+# the tests compare with np.array_equal or ==.
 
 
 def per_bit_sweep(x, kind: str) -> np.ndarray:
@@ -160,6 +162,39 @@ def per_bit_strict_superset_max(p: np.ndarray) -> np.ndarray:
         np.maximum(without, halves(best, b)[1], out=without)
     out[n - 1] = 0.0
     return out
+
+
+def per_bit_frechet_violations(c: Collection, tol: float) -> list[FrechetViolation]:
+    """collections.frechet_check's violation list as a per-bit loop."""
+    p = c.p
+    masks = np.arange(c.axioms.n_masks)
+    out: list[FrechetViolation] = []
+    for b, label in enumerate(c.axioms.labels):
+        sub, with_b = halves(p, b)
+        mono = with_b - sub
+        low = (sub - (1.0 - p[1 << b])) - with_b
+        for kind, slack in (("monotonicity", mono), ("lower_bound", low)):
+            hit = slack > tol
+            for mask, value in zip(halves(masks, b)[1][hit].tolist(), slack[hit].tolist()):
+                out.append(FrechetViolation(mask, kind, label, value))
+    out.sort(key=lambda v: (v.subset, v.kind, v.axiom))
+    return out
+
+
+def per_bit_capacity_flags(cap: Capacity, tol: float) -> tuple[bool, bool]:
+    """capacities.validate_capacity's (monotone, strict) as a per-bit loop."""
+    u = cap.u
+    j = cap.axioms.size
+    monotone = True
+    strict = True
+    for b in range(j):
+        without, with_b = halves(u, b)
+        diff = with_b - without
+        if np.any(diff < -tol):
+            monotone = False
+        if np.any(diff <= tol):
+            strict = False
+    return monotone, strict
 
 
 def naive_frechet_violations(p: np.ndarray, labels, tol: float) -> list[tuple]:

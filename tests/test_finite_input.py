@@ -19,8 +19,14 @@ from axiometer import (
     ParseError,
     RangeError,
     WeightError,
+    evaluate,
+    frechet_check,
+    is_member,
     reconstruct,
+    require_member,
+    shapley,
     summarize,
+    validate_capacity,
 )
 from axiometer.cli import _emit, main
 from axiometer.incompatibility import Game
@@ -106,6 +112,40 @@ def test_tolerance_must_be_finite_and_non_negative(tol, capsys):
         main(["validate", str(DEMO / "collection_flat.json"), f"--tol={tol}"])
     assert info.value.code == 2
     assert "must be a finite number >= 0" in capsys.readouterr().err
+
+
+#: p[a1 + a2 + a3] = 0.9 exceeds p[a1 + a2] = 0.5: infeasible at any tol < 0.4.
+INFEASIBLE_P = (1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.9)
+#: u[a1 + a2] = 0.5 falls below u[a1] = 1: not monotone at any tol < 0.5.
+NON_MONOTONE_U = (0.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0)
+BAD_TOLERANCES = NON_FINITE + (-1e-9,)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+@pytest.mark.parametrize("check", [
+    is_member,
+    require_member,
+    frechet_check,
+    shapley,
+    lambda c, tol: evaluate(Capacity(ABC, np.linspace(0.0, 1.0, 8)), c, "moebius", tol),
+])
+def test_library_tolerance_must_be_finite_and_non_negative(check, tol):
+    with pytest.raises(RangeError, match="tol must be a finite number >= 0"):
+        check(Collection(ABC, INFEASIBLE_P), tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_capacity_tolerance_must_be_finite_and_non_negative(tol):
+    with pytest.raises(RangeError, match="tol must be a finite number >= 0"):
+        validate_capacity(Capacity(ABC, NON_MONOTONE_U), tol)
+
+
+def test_zero_library_tolerance_is_accepted():
+    c = Collection(ABC, INFEASIBLE_P)
+    assert is_member(c, 0.0).feasible is False
+    assert frechet_check(c, 0.0).feasible is False
+    report = validate_capacity(Capacity(ABC, NON_MONOTONE_U), 0.0)
+    assert not report.monotone and not report.strict
 
 
 def test_zero_tolerance_is_accepted():

@@ -1,25 +1,46 @@
-"""Every sweep that pairs S with S + a, against per-pair loops at J = 1..8.
+"""Every sweep that pairs S with S + a, against per-pair and per-bit loops.
 
-The fast paths pair subsets through ``lattice.halves``; the oracles in
-conftest walk every (S, a) pair one at a time.  The inputs are dyadic, so the
-Banzhaf sums are exact whatever the order of addition, and every comparison
-is exact equality.
+The fast paths pair subsets through ``lattice.halves``, and the Fréchet and
+capacity scans walk the transposed cache blocks of ``lattice._pairs``.  At
+J = 1..8 the oracles in conftest walk every (S, a) pair one at a time; the
+Fréchet and capacity tests run there at the default ``SWEEP_BLOCK_BYTES`` and
+at 64 bytes, with which the scans walk several blocks from J = 4 on and
+one-row blocks from J = 6 on.  At J = 1..20 the two scans are compared with
+the whole-array per-bit loops they replaced, on inputs built so that the
+bounds are violated, or met with no slack to spare, on chosen bits only.
+The inputs are dyadic, so the Banzhaf sums are exact whatever the order of
+addition, and every comparison is exact equality.
 """
 
 import numpy as np
 import pytest
 
-from axiometer import AxiomSet, Capacity, banzhaf, frechet_check, is_member, validate_capacity
-from axiometer.lattice import halves
+from axiometer import (
+    AxiomSet,
+    Capacity,
+    Collection,
+    banzhaf,
+    capacities,
+    frechet_check,
+    is_member,
+    lattice,
+    validate_capacity,
+)
+from axiometer.lattice import halves, popcounts
 
 from conftest import (
     naive_banzhaf,
     naive_capacity_flags,
     naive_frechet_violations,
+    per_bit_capacity_flags,
+    per_bit_frechet_violations,
     perturbed,
     random_capacity,
     random_dyadic_feasible,
 )
+
+#: The default block, and 64 bytes: at most two rows of the blocked view.
+BLOCK_BYTES = [lattice.SWEEP_BLOCK_BYTES, 64]
 
 SIZES = range(1, 9)
 
@@ -48,9 +69,11 @@ def test_halves_pairs_each_mask_with_its_bit_added(j):
         assert np.count_nonzero(masks == -1) == without.size == 1 << j - 1
 
 
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.01])
 @pytest.mark.parametrize("j", SIZES)
-def test_frechet_violations_match_per_pair_loop(j, tol):
+def test_frechet_violations_match_per_pair_loop(j, tol, block_bytes, monkeypatch):
+    monkeypatch.setattr(lattice, "SWEEP_BLOCK_BYTES", block_bytes)
     found = 0
     for c in collections_of(j):
         violations = frechet_check(c, tol).frechet_violations
@@ -63,9 +86,11 @@ def test_frechet_violations_match_per_pair_loop(j, tol):
     assert found > 0 or j == 1
 
 
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.25])
 @pytest.mark.parametrize("j", SIZES)
-def test_capacity_flags_match_per_pair_loop(j, tol):
+def test_capacity_flags_match_per_pair_loop(j, tol, block_bytes, monkeypatch):
+    monkeypatch.setattr(lattice, "SWEEP_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(800 + j)
     axioms = axioms_of(j)
     caps = [random_capacity(rng, axioms) for _ in range(3)]
@@ -86,3 +111,89 @@ def test_capacity_flags_match_per_pair_loop(j, tol):
 def test_banzhaf_matches_per_pair_loop(j):
     for c in collections_of(j):
         np.testing.assert_array_equal(banzhaf(c).values, naive_banzhaf(c.p))
+
+
+def special_bits(j: int) -> list[tuple[int, ...]]:
+    """Bit 0 (a low bit of the blocked view), bit J - 1 (a high bit), both."""
+    return sorted({(0,), (j - 1,), tuple(sorted({0, j - 1}))})
+
+
+def bumped_collection(j: int, special: tuple[int, ...]) -> Collection:
+    """p[S] = 2**-|S - special|, then every {b, c} with b special and c not
+    raised by 1/4 and 1/8 in turn.
+
+    Before the raise, every slack of a special bit is exactly 0, and no slack
+    of another bit is positive.  Raising {b, c} by d gives it a monotonicity
+    slack d at bit b, and {b, c, a} a lower-bound slack d at every other
+    special bit a; every other slack stays <= 0.
+    """
+    axioms = axioms_of(j)
+    masks = np.arange(axioms.n_masks)
+    special_mask = sum(1 << b for b in special)
+    p = 0.5 ** popcounts(j)[masks & ~special_mask]
+    raises = [(1 << b) | (1 << c) for b in special for c in range(j) if c not in special]
+    for k, mask in enumerate(raises):
+        p[mask] += 0.25 if k % 2 == 0 else 0.125
+    return Collection(axioms=axioms, p=p)
+
+
+# 1/8 is the smaller raise, so at that tol half of the raises leave a slack
+# of exactly tol; at tol 0 so does every special bit away from them.
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+@pytest.mark.parametrize("j", range(1, 21))
+def test_blocked_frechet_violations_match_per_bit_loop(j, block_bytes, monkeypatch):
+    monkeypatch.setattr(lattice, "SWEEP_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(900 + j)
+    feasible = random_dyadic_feasible(rng, axioms_of(j))
+    inputs = [feasible] + [bumped_collection(j, special) for special in special_bits(j)]
+    if j <= 12:  # a quarter of the entries moved: violations on every bit
+        inputs.append(perturbed(rng, feasible))
+    # fewer tolerances from J = 17 on, where each scan takes longest
+    for tol in (0.0, 0.125) if j >= 17 else (0.0, 1e-9, 0.125):
+        for c in inputs:
+            got = list(frechet_check(c, tol).frechet_violations)
+            assert got == per_bit_frechet_violations(c, tol)
+    for special in special_bits(j):
+        violations = frechet_check(bumped_collection(j, special), 0.0).frechet_violations
+        kinds = {"monotonicity"} if len(special) == 1 else {"monotonicity", "lower_bound"}
+        if j - len(special) > 0:
+            assert {v.axiom for v in violations} == {f"a{b}" for b in special}
+            assert {v.kind for v in violations} == kinds
+        else:
+            assert violations == ()
+
+
+def stepped_capacity(j: int, special: tuple[int, ...], step: float) -> Capacity:
+    """u[S] = 1 + the number of non-special bits in S + step times the number
+    of special bits in S (u[empty] = 0): every step u[S + b] - u[S] from a
+    non-empty S is exactly ``step`` at a special bit b and 1 at the others."""
+    axioms = axioms_of(j)
+    masks = np.arange(axioms.n_masks)
+    special_mask = sum(1 << b for b in special)
+    u = 1.0 + popcounts(j)[masks & ~special_mask] + step * popcounts(j)[masks & special_mask]
+    u[0] = 0.0
+    return Capacity(axioms=axioms, u=u)
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+@pytest.mark.parametrize("j", range(1, 21))
+def test_blocked_capacity_flags_match_per_bit_loop(j, block_bytes, monkeypatch):
+    monkeypatch.setattr(lattice, "SWEEP_BLOCK_BYTES", block_bytes)
+    # only the monotone and strict flags are under test: skip the 3**J sweep
+    monkeypatch.setattr(capacities, "ADDITIVITY_CHECK_MAX_AXIOMS", 0)
+    rng = np.random.default_rng(1000 + j)
+    caps = [random_capacity(rng, axioms_of(j))]
+    # dyadic tolerances, so that every step below is exact; fewer from J = 17 on
+    for tol in (0.0, 0.25) if j >= 17 else (0.0, 2.0**-30, 0.25):
+        for special in special_bits(j):
+            # a drop beyond tol, steps of exactly -tol and +tol, a rise beyond tol
+            for step, flags in ((-tol - 0.25, (False, False)), (-tol, (True, False)),
+                                (tol, (True, False)), (tol + 0.25, (True, True))):
+                cap = stepped_capacity(j, special, step)
+                report = validate_capacity(cap, tol)
+                assert (report.monotone, report.strict) == per_bit_capacity_flags(cap, tol)
+                # at J = 1 the one step starts at the empty set, so it is 1 + step
+                assert j == 1 or (report.monotone, report.strict) == flags
+        for cap in caps:
+            report = validate_capacity(cap, tol)
+            assert (report.monotone, report.strict) == per_bit_capacity_flags(cap, tol)
