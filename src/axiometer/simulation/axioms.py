@@ -92,20 +92,35 @@ class EvaluatedProfiles:
 
         For each row i, each ranking r held in row i and each r' != r, the
         second profile switches the first voter of row i holding r to r'.
-        Returns ``(row, before, first, second)``: i, r and the pair batches,
-        which carry row i's winners and count c - e_r + e_r' without recounting.
+        Returns ``(row, before, first, second)``: i, r and the pair batches
+        of ``pairs``.
         """
         fact = self.space.count
         row, before = np.nonzero(self.counts)
         voter = np.argmax(self.rankings[row] == before[:, None], axis=1)
         row, before, voter = (np.repeat(a, fact - 1) for a in (row, before, voter))
         after = (before + np.tile(np.arange(1, fact), row.size // (fact - 1))) % fact
+        return (row, before, *self.pairs(row, voter, after))
+
+    def pairs(
+        self, row: np.ndarray, voter: np.ndarray, after: np.ndarray
+    ) -> tuple[EvaluatedProfiles, EvaluatedProfiles]:
+        """Row-aligned batches of the pairs (profile ``row``, its ``voter`` switched to ``after``).
+
+        Every ``after`` must differ from the ranking it replaces.  The first
+        batch carries the winners of ``row`` and the second its counts
+        c - e_before + e_after, so neither batch recounts its ballots.
+        """
         first = EvaluatedProfiles(self.rule, self.rankings[row], self.m, self.n)
         first._winners = self.winners[row]
         second = EvaluatedProfiles(self.rule, first.rankings.copy(), self.m, self.n)
-        second.rankings[np.arange(row.size), voter] = after
-        second._counts = self.counts[row] - np.eye(fact)[before] + np.eye(fact)[after]
-        return row, before, first, second
+        pair = np.arange(row.size)
+        counts = self.counts[row]
+        counts[pair, first.rankings[pair, voter]] -= 1.0
+        counts[pair, after] += 1.0
+        second.rankings[pair, voter] = after
+        second._counts = counts
+        return first, second
 
 
 def punctual_batch(predicate: str, ev: EvaluatedProfiles) -> np.ndarray:

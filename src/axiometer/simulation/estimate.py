@@ -49,6 +49,10 @@ ENUMERATION_GUARD = 10**8
 #: block evaluates at once; it bounds memory and changes no result.
 CHUNK_TUPLES = 1 << 16
 
+#: Most tuples one estimate may draw: its subset counts are p * N in float64,
+#: exact only up to 2**53.
+MAX_SAMPLES = 2**53
+
 #: Top-level keys of the estimator output schema.
 _ESTIMATE_KEYS = frozenset({"axioms", "p", "N", "seed", "stderr"})
 
@@ -115,6 +119,11 @@ def _relational_worlds(
     return worlds
 
 
+def _relational_mask(axioms: Sequence[AxiomSpec]) -> int:
+    """The bits of the relational axioms, all set on a tuple whose pair is unrelated."""
+    return sum(1 << b for b, ax in enumerate(axioms) if ax.kind == "relational")
+
+
 def _worlds(
     rule: VotingRule,
     axioms: Sequence[AxiomSpec],
@@ -122,11 +131,27 @@ def _worlds(
     m: int,
     n: int,
 ) -> np.ndarray:
-    """World mask for every tuple of a (B, K, n) ranking array."""
-    # with K = 1 no axiom is relational, so ``last`` is never evaluated
-    first, last = (EvaluatedProfiles(rule, rankings[:, k, :], m, n) for k in (0, -1))
+    """World mask for every tuple of a (B, K, n) ranking array.
+
+    A relational axiom holds vacuously unless exactly one voter differs
+    between the first and the last profile, so only those rows are scored
+    as pairs, and their second profile from the first one's counts.
+    """
+    first = EvaluatedProfiles(rule, rankings[:, 0, :], m, n)
     worlds = _punctual_worlds(axioms, first, np.zeros(rankings.shape[0], dtype=np.int64))
-    return _relational_worlds(axioms, first, last, worlds)
+    relational = _relational_mask(axioms)
+    if not relational:  # K = 1: there is no second profile
+        return worlds
+    last = rankings[:, -1, :]
+    differs = first.rankings != last
+    row = np.flatnonzero(differs.sum(axis=1) == 1)
+    voter = np.argmax(differs[row], axis=1)
+    pair_worlds = _relational_worlds(
+        axioms, *first.pairs(row, voter, last[row, voter]), worlds[row]
+    )
+    worlds |= relational
+    worlds[row] = pair_worlds
+    return worlds
 
 
 def estimate_collection(
@@ -146,8 +171,8 @@ def estimate_collection(
     ``seed``; the block size changes neither the draws nor the result.
     """
     check_problem_size(m, n)
-    if n_samples < 1:
-        raise RangeError(f"sample count must be at least 1, got {n_samples}")
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise RangeError(f"sample count must be >= 1 and <= 2**53, got {n_samples}")
     axiom_set, tuple_width = _battery(axioms)
     sampler.ranking_pmf(m)  # validates sampler/m compatibility up front
     rng = np.random.default_rng(seed)
@@ -204,7 +229,7 @@ def _exact_worlds(rule: VotingRule, axioms: Sequence[AxiomSpec], m: int, n: int,
     1, so a uniform pmf weighs rows by exact tuple counts.
     """
     fact = math.factorial(m)
-    relational = sum(1 << b for b, ax in enumerate(axioms) if ax.kind == "relational")
+    relational = _relational_mask(axioms)
     scale = pmf / pmf.max()
     second_mass = scale.sum() ** n
     binom = np.array([[math.comb(s, k) for k in range(n + 1)] for s in range(n + 1)], dtype=float)
@@ -368,8 +393,10 @@ def experiment_from_json(data: dict) -> ExperimentSpec:
     for key in ("m", "n", "N", "seed"):
         if isinstance(data[key], bool) or not isinstance(data[key], int):
             raise ParseError(f'"{key}" must be an integer, got {data[key]!r}')
-    if data["N"] < 1 or data["seed"] < 0:
-        raise ParseError('"N" must be >= 1 and "seed" >= 0')
+    if not 1 <= data["N"] <= MAX_SAMPLES:
+        raise ParseError('"N" must be >= 1 and <= 2**53')
+    if data["seed"] < 0:
+        raise ParseError('"seed" must be >= 0')
     sampler = _sampler_from_json(data["sampler"])
     try:
         check_problem_size(data["m"], data["n"])
@@ -416,8 +443,7 @@ def estimated_from_json(data: dict) -> EstimatedCollection:
         if isinstance(data[key], bool) or not isinstance(data[key], int):
             raise ParseError(f'"{key}" must be an integer')
     n_samples = data["N"]
-    # subset counts are p * N in float64, exact only up to 2**53
-    if not 1 <= n_samples <= 2**53:
+    if not 1 <= n_samples <= MAX_SAMPLES:
         raise ParseError('"N" must be >= 1 and <= 2**53')
     collection = collection_from_json({"axioms": data["axioms"], "p": data["p"]})
     axioms = collection.axioms

@@ -10,7 +10,8 @@ and a loop over every split T + (S - T) of every subset S for the
 additivity flags.  The per-bit references are the exception: they are the
 whole-array loops that the blocked sweep kernel and the blocked Fréchet and
 capacity scans replaced, kept so that those can be checked against them bit
-for bit.
+for bit.  So is the full-pair world computation that Monte Carlo estimation
+replaced by scoring only the pairs in which one voter deviates.
 """
 
 from __future__ import annotations
@@ -251,6 +252,32 @@ def naive_banzhaf(p: np.ndarray) -> np.ndarray:
             if not s >> a & 1:
                 psi[a] += weight * (p[s] - p[s | 1 << a])
     return psi
+
+
+# --- full-pair Monte Carlo reference ---------------------------------------------
+
+
+def full_pair_worlds(rule, axioms, rankings: np.ndarray, m: int, n: int) -> np.ndarray:
+    """World mask for every tuple of a (B, K, n) ranking array, every pair scored.
+
+    The Monte Carlo world computation before it skipped unrelated pairs: both
+    profiles of every tuple are counted and get winners, and every relational
+    axiom is evaluated on every row.  The fast path must equal it under ==.
+    """
+    from axiometer.simulation.axioms import (
+        EvaluatedProfiles,
+        punctual_batch,
+        relational_batch,
+    )
+
+    first, last = (EvaluatedProfiles(rule, rankings[:, k, :], m, n) for k in (0, -1))
+    worlds = np.zeros(rankings.shape[0], dtype=np.int64)
+    for bit, ax in enumerate(axioms):
+        if ax.kind == "punctual":
+            worlds |= punctual_batch(ax.predicate, first).astype(np.int64) << bit
+        else:
+            worlds |= relational_batch(ax.predicate, first, last).astype(np.int64) << bit
+    return worlds
 
 
 #: Denominator of the dyadic collections: their entries are multiples of

@@ -421,10 +421,13 @@ class TestBadInputExitsTwo:
     @pytest.mark.parametrize("n_samples", [10**400, 10**20, 2**53 + 1],
                              ids=["10**400", "10**20", "2**53+1"])
     def test_estimate_count_beyond_exact_float_counts(self, files, capsys, n_samples):
+        # an experiment asking for that many samples is refused before it runs
         write, _ = files
         _, doc, cap = TestEstimateInput.estimate(files)
         path = write("big.json", {**doc, "N": n_samples})
-        for argv in (["validate", path], ["perf", cap, path], ["incompat", path]):
+        experiment = write("big_exp.json", experiment_doc(N=n_samples))
+        for argv in (["validate", path], ["perf", cap, path], ["incompat", path],
+                     ["simulate", experiment], ["simulate", experiment, "--exact"]):
             assert main(argv) == 2
             assert capsys.readouterr().err.startswith('error: "N" must be >= 1 and <= 2**53')
 

@@ -172,7 +172,10 @@ def experiment_doc(draw):
         "m": 3,
         "n": draw(st.integers(min_value=1, max_value=3)),
         "sampler": sampler,
-        "N": draw(st.integers(min_value=1, max_value=200)),
+        # beyond 2**53 the sample counts are inexact, so simulate must refuse
+        # N before it starts drawing
+        "N": draw(mostly(st.integers(min_value=1, max_value=200),
+                         st.sampled_from([2**53 + 1, 10**20, 10**400]))),
         "seed": draw(st.integers(min_value=0, max_value=2**40)),
     }
     return draw(mutated(doc))

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import axiometer.simulation.axioms as axioms_module
 import axiometer.simulation.estimate as estimate_module
 from axiometer import is_member, perf_moebius
 from axiometer.errors import ParseError, RangeError, SizeError
@@ -29,7 +30,10 @@ from axiometer.simulation import (
     run_experiment,
 )
 
-from conftest import random_capacity
+from axiometer.simulation.preferences import perm_space
+from axiometer.simulation.rules import RULE_TAGS, ranking_counts, winners_from_counts
+
+from conftest import full_pair_worlds, random_capacity
 
 PLURALITY = VotingRule("plurality")
 COPELAND = VotingRule("copeland")
@@ -40,6 +44,11 @@ PUNCTUAL_PAIR = [
     AxiomSpec.builtin("majority_winner"),
 ]
 MIXED_TRIPLE = PUNCTUAL_PAIR + [AxiomSpec.builtin("strategyproof_pair")]
+# the relational axioms on the lowest and the highest bit
+SIX_AXIOMS = [AxiomSpec.builtin(tag) for tag in (
+    "monotonicity_pair", "condorcet_consistency", "majority_winner",
+    "condorcet_loser_avoidance", "pareto", "strategyproof_pair",
+)]
 
 
 def all_profiles(m, n):
@@ -137,8 +146,96 @@ class TestEstimate:
         )
 
     def test_bad_sample_count(self):
-        with pytest.raises(RangeError):
-            estimate_collection(PLURALITY, PUNCTUAL_PAIR, ImpartialCulture(), 3, 3, 0, 1)
+        # beyond 2**53 the subset counts are inexact; refused before any draw
+        for n_samples in (0, 2**53 + 1):
+            with pytest.raises(RangeError):
+                estimate_collection(PLURALITY, PUNCTUAL_PAIR, ImpartialCulture(), 3, 3,
+                                    n_samples, 1)
+
+
+def one_deviator(rankings):
+    """Rows of a (B, 2, n) ranking array whose two profiles differ in exactly one voter."""
+    return (rankings[:, 0] != rankings[:, 1]).sum(axis=1) == 1
+
+
+def planted_block(rule, sampler, m, n, kind, seed, rows=240):
+    """(rows, 2, n) sampled rankings with planted one-voter deviations, and the raised rows.
+
+    ``related``: every second profile is the first with one voter switched;
+    in even rows that voter raises the first profile's winner by one
+    adjacent swap (where it is not on top already), which makes the pair
+    related for ``monotonicity_pair``.  ``mixed``: a third of the rows keep
+    their i.i.d. second profile and the rest are deviations as above.
+    ``unrelated``: i.i.d. pairs, with the second profile of every pair that
+    happens to differ in one voter replaced by a copy of the first.
+    """
+    rng = np.random.default_rng(seed)
+    rankings = np.array(sampler.sample(rng, m, (rows, 2, n)), dtype=np.int64)
+    first = rankings[:, 0]
+    if kind == "unrelated":
+        related = one_deviator(rankings)
+        rankings[related, 1] = first[related]
+        return rankings, np.zeros(rows, dtype=bool)
+    space = perm_space(m)
+    winners = winners_from_counts(rule, ranking_counts(first, m), space)
+    row = np.arange(rows)
+    voter = rng.integers(0, n, rows)
+    before = first[row, voter]
+    lifted = space.raise_up[before, winners]
+    raise_winner = (row % 2 == 0) & (lifted >= 0)
+    other = (before + rng.integers(1, space.count, rows)) % space.count
+    deviated = first.copy()
+    deviated[row, voter] = np.where(raise_winner, lifted, other)
+    chosen = row % 3 != 0 if kind == "mixed" else row >= 0
+    rankings[chosen, 1] = deviated[chosen]
+    return rankings, chosen & raise_winner
+
+
+class TestWorlds:
+    """Monte Carlo worlds scored from one-voter deviations only, against every pair scored."""
+
+    @pytest.mark.parametrize("kind", ["related", "mixed", "unrelated"])
+    @pytest.mark.parametrize("phi", [None, 0.5], ids=["ic", "mallows"])
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("tag", RULE_TAGS)
+    def test_equals_full_pair_evaluation(self, tag, m, n, phi, kind):
+        rule = VotingRule(tag)
+        sampler = ImpartialCulture() if phi is None else Mallows(phi, tuple(range(m)))
+        rankings, raised = planted_block(rule, sampler, m, n, kind, seed=1000 * m + n)
+        related = one_deviator(rankings)
+        if kind == "related":
+            assert related.all()
+        if kind == "unrelated":
+            assert not related.any()
+        else:
+            # a lone voter's top candidate wins under all rules but antiplurality
+            assert raised.any() or (n == 1 and tag != "antiplurality")
+        worlds = estimate_module._worlds(rule, SIX_AXIOMS, rankings, m, n)
+        np.testing.assert_array_equal(worlds, full_pair_worlds(rule, SIX_AXIOMS, rankings, m, n))
+
+    def test_block_counts_ballots_of_the_first_profile_only(self, monkeypatch):
+        # the second profile of a pair is scored from the first one's counts,
+        # and only where one voter deviates
+        counted, scored = [], []
+
+        def counting(rankings, m):
+            counted.append(len(rankings))
+            return ranking_counts(rankings, m)
+
+        def scoring(rule, counts, space):
+            scored.append(len(counts))
+            return winners_from_counts(rule, counts, space)
+
+        monkeypatch.setattr(axioms_module, "ranking_counts", counting)
+        monkeypatch.setattr(axioms_module, "winners_from_counts", scoring)
+        block, seed = 3000, 17
+        estimate_collection(PLURALITY, MIXED_TRIPLE, ImpartialCulture(), 3, 3, block, seed)
+        draws = ImpartialCulture().sample(np.random.default_rng(seed), 3, (block, 2, 3))
+        related = int(one_deviator(draws).sum())
+        assert 0 < related < block
+        assert counted == [block]
+        assert scored == [block, related]
 
 
 class TestEnumerate:
@@ -380,6 +477,9 @@ class TestExperimentJson:
         direct = enumerate_collection(PLURALITY, PUNCTUAL_PAIR, 3, 3)
         np.testing.assert_allclose(exact.p, direct.p, atol=1e-15)
 
+    def test_sample_count_of_two_to_the_53_is_read(self):
+        assert experiment_from_json(self.spec_doc(N=2**53)).n_samples == 2**53
+
     def test_mallows_spec(self):
         doc = self.spec_doc(sampler={"kind": "mallows", "phi": 0.8, "sigma": [0, 1, 2]})
         spec = experiment_from_json(doc)
@@ -394,6 +494,8 @@ class TestExperimentJson:
             {"axioms": ["pareto", "pareto"]},
             {"m": 9},
             {"N": 0},
+            {"N": 2**53 + 1},
+            {"seed": -1},
             {"sampler": {"kind": "mallows", "phi": 2.0, "sigma": [0, 1, 2]}},
             {"sampler": {"kind": "mallows", "phi": 0.5, "sigma": [0, 1]}},
             {"extra_key": 1},
