@@ -204,6 +204,24 @@ def frechet_check(c: Collection, tol: float = DEFAULT_TOL) -> FeasibilityReport:
     )
 
 
+def _membership(c: Collection, tol: float) -> tuple[FeasibilityReport, np.ndarray]:
+    """The membership report of ``c`` and the contributions it was read from."""
+    _check_tol(tol)
+    alpha = moebius_superset(c.p)
+    bad = np.nonzero(alpha < -tol)[0]
+    negatives = tuple((int(m), float(alpha[m])) for m in bad)
+    feasible = not negatives
+    frechet = () if feasible else tuple(_frechet_violations(c, tol))
+    report = FeasibilityReport(
+        feasible=feasible,
+        checks="full",
+        tolerance=tol,
+        frechet_violations=frechet,
+        negative_contributions=negatives,
+    )
+    return report, alpha
+
+
 def is_member(c: Collection, tol: float = DEFAULT_TOL) -> FeasibilityReport:
     """Exact membership check: feasible iff every contribution is >= -tol.
 
@@ -212,26 +230,20 @@ def is_member(c: Collection, tol: float = DEFAULT_TOL) -> FeasibilityReport:
     of the convex decomposition.  Contributions in (-tol, 0) are treated as 0.
     ``tol`` must be a finite number >= 0.
     """
-    _check_tol(tol)
-    alpha = moebius_superset(c.p)
-    bad = np.nonzero(alpha < -tol)[0]
-    negatives = tuple((int(m), float(alpha[m])) for m in bad)
-    feasible = not negatives
-    frechet = () if feasible else tuple(_frechet_violations(c, tol))
-    return FeasibilityReport(
-        feasible=feasible,
-        checks="full",
-        tolerance=tol,
-        frechet_violations=frechet,
-        negative_contributions=negatives,
-    )
+    return _membership(c, tol)[0]
 
 
-def require_member(c: Collection, tol: float = DEFAULT_TOL) -> FeasibilityReport:
-    """Return the membership report, raising InfeasibleCollectionError on failure."""
+def require_member(c: Collection, tol: float = DEFAULT_TOL) -> ContributionVector:
+    """Return the contributions of a feasible ``c``; raise otherwise.
+
+    The check is that of :func:`is_member`, and the result is the read-only
+    ``ContributionVector`` it computed, equal to ``contributions(c, tol)``.
+    An infeasible ``c`` raises InfeasibleCollectionError carrying the
+    :func:`is_member` report.
+    """
     from .errors import InfeasibleCollectionError
 
-    report = is_member(c, tol)
+    report, alpha = _membership(c, tol)
     if not report.feasible:
         worst = min(report.negative_contributions, key=lambda t: t[1])
         raise InfeasibleCollectionError(
@@ -240,7 +252,8 @@ def require_member(c: Collection, tol: float = DEFAULT_TOL) -> FeasibilityReport
             f"{{{c.axioms.subset_key(worst[0])}}})",
             report=report,
         )
-    return report
+    alpha.setflags(write=False)
+    return ContributionVector(axioms=c.axioms, alpha=alpha, tol=tol)
 
 
 def _from_weights(axioms: AxiomSet, alpha: np.ndarray) -> Collection:

@@ -2,12 +2,20 @@
 
 A collection p (with p[empty] = 1) induces the cooperative game v = 1 - p;
 its grand-coalition value 1 - p[A] is the overall violation mass, distributed
-among axioms by Shapley weights on the marginal costs p[S] - p[S + a].  Three
-routes compute the same allocation: the direct weighted sum, the contribution
-(Moebius) formula that splits each exact-satisfaction weight equally among
-the excluded axioms, and a permutation average kept as a brute-force oracle.
-The Banzhaf variant replaces the Shapley weights by a uniform 1 / 2**(J-1)
-and in general does not sum to the overall violation.
+among axioms by the Shapley value.  Over the contributions alpha that the
+membership check computes, v = sum over S of alpha[S] * [coalition meets
+A - S]: a mixture of games in which a coalition scores 1 once it holds an
+axiom outside S (alpha[S] is the Harsanyi dividend of the dual game at
+A - S).  Each such game gives 1 / (J - |S|) to every axiom outside S, so
+the Shapley value is the dividend sum
+
+    psi[a] = sum over S without a of alpha[S] / (J - |S|).
+
+:func:`shapley` takes it in two blocked reductions over alpha, and
+:func:`shapley_via_moebius` as one masked sum per axiom; a permutation
+average is kept as a brute-force oracle.  The Banzhaf variant weighs the
+marginal costs p[S] - p[S + a] uniformly by 1 / 2**(J-1) and in general does
+not sum to the overall violation.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 
 from .collections import DEFAULT_TOL, Collection, contributions, require_member
 from .errors import RangeError, SizeError
-from .lattice import AxiomSet, halves, popcounts, subset_vector
+from .lattice import AxiomSet, block_rows, halves, popcounts, subset_vector
 
 #: Largest J for which the J!-permutation oracle runs.
 BRUTEFORCE_MAX_AXIOMS = 8
@@ -68,33 +76,50 @@ def _allocation(axioms: AxiomSet, values: np.ndarray, method: str) -> Incompatib
     )
 
 
-def _marginal_sums(c: Collection, weight_by_card: np.ndarray) -> np.ndarray:
-    """psi[a] = sum over S without a of w[|S|] * (p[S] - p[S + a])."""
-    j = c.axioms.size
-    cards = popcounts(j)
-    psi = np.empty(j)
-    for b in range(j):
-        without, with_b = halves(c.p, b)
-        psi[b] = float(np.vdot(weight_by_card[halves(cards, b)[0]], without - with_b))
-    return psi
-
-
 def shapley(c: Collection, tol: float = DEFAULT_TOL) -> IncompatibilityAllocation:
     """Shapley allocation; the values sum to 1 - p[A].
 
-    Weights |S|! (J-|S|-1)! / J! are computed from exact integer factorials
-    (J <= 20 keeps them inside 64-bit range) with a single float division.
+    The dividend sum psi[a] = sum over S without a of alpha[S] / (J - |S|),
+    over the contributions that :func:`require_member` returns.  With alpha
+    seen as 2**(J - J//2) rows of 2**(J//2) columns, so that the low J//2
+    bits of a mask number its column and the high bits its row, one pass over
+    row blocks of about ``SWEEP_BLOCK_BYTES`` forms w = alpha / (J - |S|)
+    (0 at the full set) block by block and adds each block into the row sums
+    and the column sums of w.  psi[a] is then the sum over the half of the
+    column sums (low bit a) or of the row sums (high bit a) without bit a.
+    Every term is >= -tol, so no large terms cancel.
     """
-    require_member(c, tol)
+    alpha = require_member(c, tol).alpha
     j = c.axioms.size
-    fact = [math.factorial(k) for k in range(j + 1)]
-    weights = np.array([fact[k] * fact[j - k - 1] / fact[j] for k in range(j)])
-    return _allocation(c.axioms, _marginal_sums(c, weights), "shapley")
+    low = j // 2
+    m = alpha.reshape(-1, 1 << low)
+    rows = block_rows(m)
+    free = j - popcounts(j - low)  # J minus the row's part of |S|
+    w = np.empty((rows, m.shape[1]))
+    row_sums = np.empty(m.shape[0])
+    col_sums = np.zeros(m.shape[1])
+    for start in range(0, m.shape[0], rows):
+        block = slice(start, start + rows)
+        np.subtract.outer(free[block], popcounts(low), out=w)
+        if block.stop == m.shape[0]:
+            w[-1, -1] = np.inf  # the full set: no axiom outside it
+        np.divide(m[block], w, out=w)
+        row_sums[block] = w.sum(axis=1)
+        col_sums += w.sum(axis=0)
+    psi = np.empty(j)
+    for b in range(low):
+        psi[b] = halves(col_sums, b)[0].sum()
+    for b in range(low, j):
+        psi[b] = halves(row_sums, b - low)[0].sum()
+    return _allocation(c.axioms, psi, "shapley")
 
 
 def shapley_via_moebius(c: Collection, tol: float = DEFAULT_TOL) -> IncompatibilityAllocation:
-    """Same allocation through the contributions: each exact-satisfaction
-    weight alpha[S] is split equally among the axioms outside S."""
+    """The dividend sum of :func:`shapley`, one masked sum over alpha per axiom.
+
+    An independent route to the same allocation: each exact-satisfaction
+    weight alpha[S] is split equally among the axioms outside S.
+    """
     require_member(c, tol)
     j = c.axioms.size
     alpha = contributions(c, tol).alpha
@@ -108,12 +133,22 @@ def shapley_via_moebius(c: Collection, tol: float = DEFAULT_TOL) -> Incompatibil
 def banzhaf(c: Collection) -> IncompatibilityAllocation:
     """Banzhaf allocation: uniform weights 1 / 2**(J-1) on the marginal costs.
 
-    No feasibility gate — the formula is defined for any collection — and the
-    reported total need not equal 1 - p[A].
+    psi[a] is the dot product of the weight vector with p[S] - p[S + a] over
+    the masks S without a.  No feasibility gate — the formula is defined for
+    any collection — and the reported total need not equal 1 - p[A].
     """
     j = c.axioms.size
-    weights = np.full(j, 1.0 / 2 ** (j - 1))
-    return _allocation(c.axioms, _marginal_sums(c, weights), "banzhaf")
+    half = c.axioms.n_masks // 2
+    # a weight vector, not a scalar times a sum: the dot product keeps the
+    # rounding of the published values (a scalar changes them at J = 3)
+    weights = np.full(half, 1.0 / 2 ** (j - 1))
+    diff = np.empty(half)
+    psi = np.empty(j)
+    for b in range(j):
+        without, with_b = halves(c.p, b)
+        np.subtract(without, with_b, out=diff.reshape(without.shape))
+        psi[b] = float(np.vdot(weights, diff))
+    return _allocation(c.axioms, psi, "banzhaf")
 
 
 def shapley_bruteforce(c: Collection) -> IncompatibilityAllocation:

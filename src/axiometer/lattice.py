@@ -11,6 +11,8 @@ come from :func:`_pairs`, the one block iterator: it yields the low bits on
 transposed cache-sized blocks and the high bits on the whole array.
 :func:`sweep` is its in-place user; the Fréchet bounds in ``collections`` and
 the monotone and strict flags in ``capacities`` are its read-only users.
+The Shapley reductions in ``incompatibility`` walk the same row blocks
+(:func:`block_rows`) without transposing them.
 Every sweep that pairs each subset S with S + a, here and in the other
 modules, goes through :func:`halves`, the one place that decodes the mask
 layout; it also pairs the rows of the 2-D transposed block.
@@ -177,6 +179,16 @@ def halves(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     return v[:, 0, :], v[:, 1, :]
 
 
+def block_rows(m: np.ndarray) -> int:
+    """Rows of the 2-D array ``m`` in one block of about ``SWEEP_BLOCK_BYTES``.
+
+    A power of two, at least 1 and at most the number of rows, so the blocks
+    of a ``2**k``-row array tile it exactly.
+    """
+    fit = max(1, SWEEP_BLOCK_BYTES // m[0].nbytes)
+    return min(m.shape[0], 1 << (fit.bit_length() - 1))
+
+
 def _pairs(arr: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield ``(b, lo, hi)`` for b = 0..J-1, ``lo``/``hi`` pairing each mask
     without bit b with the mask that has it, as :func:`halves` does.
@@ -195,8 +207,7 @@ def _pairs(arr: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     j = arr.shape[0].bit_length() - 1
     low = j // 2
     m = arr.reshape(-1, 1 << low)
-    fit = max(1, SWEEP_BLOCK_BYTES // m[0].nbytes)
-    rows = min(m.shape[0], 1 << (fit.bit_length() - 1))
+    rows = block_rows(m)
     shift = rows.bit_length() - 1
     t = np.empty((m.shape[1], rows))
     for start in range(0, m.shape[0], rows):

@@ -4,17 +4,24 @@ The worked inputs follow the presentation order (a1, a2, a3, a1a2, a1a3,
 a2a3, a1a2a3), which maps to masks (1, 2, 4, 3, 5, 6, 7).  Oracles here are
 deliberately slow and structurally independent of the package's fast paths:
 quadratic transform sums, explicit superset maxima, linear-algebra world
-distributions, and per-pair loops over every subset S and axiom a for the
+distributions, per-pair loops over every subset S and axiom a for the
 Fréchet bounds, the monotone and strict flags and the Banzhaf marginal sums,
-and a loop over every split T + (S - T) of every subset S for the
-additivity flags.  The per-bit references are the exception: they are the
-whole-array loops that the blocked sweep kernel and the blocked Fréchet and
-capacity scans replaced, kept so that those can be checked against them bit
-for bit.  So is the full-pair world computation that Monte Carlo estimation
-replaced by scoring only the pairs in which one voter deviates.
+a loop over every split T + (S - T) of every subset S for the additivity
+flags, and Shapley values in exact rational arithmetic.  The per-bit
+references are the exception: they are the whole-array loops that the
+blocked sweep kernel and the blocked Fréchet and capacity scans replaced,
+kept so that those can be checked against them bit for bit, and the per-bit
+marginal sums over p that the Shapley and Banzhaf allocations ran before
+Shapley read the contributions.  So is the full-pair world computation that
+Monte Carlo estimation replaced by scoring only the pairs in which one voter
+deviates.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -121,7 +128,9 @@ def naive_strict_superset_max(p: np.ndarray) -> np.ndarray:
 # The whole-array loops that lattice.sweep and the blocked scans over its
 # block iterator replaced, kept verbatim: one pass over the whole array per
 # bit b = 0..J-1.  The blocked code must reproduce them to the last bit, so
-# the tests compare with np.array_equal or ==.
+# the tests compare with np.array_equal or ==.  The one exception is
+# marginal_shapley: the dividend sum that replaced it adds in another order,
+# so it is compared within a relative 1e-13.
 
 
 def per_bit_sweep(x, kind: str) -> np.ndarray:
@@ -180,6 +189,33 @@ def per_bit_frechet_violations(c: Collection, tol: float) -> list[FrechetViolati
                 out.append(FrechetViolation(mask, kind, label, value))
     out.sort(key=lambda v: (v.subset, v.kind, v.axiom))
     return out
+
+
+def _marginal_sums(p: np.ndarray, weight_by_card: np.ndarray) -> np.ndarray:
+    """psi[a] = sum over S without a of w[|S|] * (p[S] - p[S + a]), one vdot per bit."""
+    j = p.shape[0].bit_length() - 1
+    cards = popcounts(j)
+    psi = np.empty(j)
+    for b in range(j):
+        without, with_b = halves(p, b)
+        psi[b] = float(np.vdot(weight_by_card[halves(cards, b)[0]], without - with_b))
+    return psi
+
+
+def marginal_shapley(p: np.ndarray) -> np.ndarray:
+    """incompatibility.shapley as the per-bit marginal sums over p, with the
+    Shapley weights |S|! (J-|S|-1)! / J! from exact integer factorials."""
+    j = p.shape[0].bit_length() - 1
+    fact = [math.factorial(k) for k in range(j + 1)]
+    weights = np.array([fact[k] * fact[j - k - 1] / fact[j] for k in range(j)])
+    return _marginal_sums(p, weights)
+
+
+def per_bit_banzhaf(p: np.ndarray) -> np.ndarray:
+    """incompatibility.banzhaf as the per-bit marginal sums with the weight
+    1 / 2**(J-1) gathered per bit."""
+    j = p.shape[0].bit_length() - 1
+    return _marginal_sums(p, np.full(j, 1.0 / 2 ** (j - 1)))
 
 
 def per_bit_capacity_flags(cap: Capacity, tol: float) -> tuple[bool, bool]:
@@ -254,6 +290,26 @@ def naive_banzhaf(p: np.ndarray) -> np.ndarray:
     return psi
 
 
+def exact_shapley(p: np.ndarray) -> list[Fraction]:
+    """Shapley values of v = 1 - p in exact rational arithmetic: the floats
+    of p are read as the dyadic rationals they are, and the marginal costs
+    p[S] - p[S + a] are weighted by |S|! (J-|S|-1)! / J! as Fractions."""
+    n = p.shape[0]
+    j = n.bit_length() - 1
+    exact = [Fraction(x) for x in p.tolist()]
+    pc = popcounts(j)
+    weights = [Fraction(math.factorial(k) * math.factorial(j - k - 1), math.factorial(j))
+               for k in range(j)]
+    psi = []
+    for a in range(j):
+        by_card = [Fraction(0)] * j
+        for s in range(n):
+            if not s >> a & 1:
+                by_card[pc[s]] += exact[s] - exact[s | 1 << a]
+        psi.append(sum(w * m for w, m in zip(weights, by_card)))
+    return psi
+
+
 # --- full-pair Monte Carlo reference ---------------------------------------------
 
 
@@ -310,6 +366,14 @@ def random_capacity(rng: np.random.Generator, axioms: AxiomSet) -> Capacity:
     masses = rng.uniform(0.0, 1.0, axioms.n_masks)
     masses[0] = 0.0
     return Capacity(axioms=axioms, u=zeta_subset(masses))
+
+
+@lru_cache(maxsize=None)
+def dirichlet_collection(j: int) -> Collection:
+    """One seeded Dirichlet collection on J axioms, shared between tests."""
+    from axiometer import random_collection
+
+    return random_collection(AxiomSet(tuple(f"a{i}" for i in range(j))), 1500 + j)
 
 
 def random_feasible(rng: np.random.Generator, axioms: AxiomSet, concentration=1.0):

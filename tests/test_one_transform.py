@@ -1,12 +1,13 @@
 """Superset Moebius transforms per collection per operation.
 
 The aim is one: the membership check computes the contributions alpha, so an
-operation that needs them should not transform p a second time.  The three
-operations that still do (the membership check, then ``contributions``) are
-marked as expected failures.  Handing alpha back from ``require_member`` mends
-them; it waits for the benchmark's tracer self-test
-(perfbench/tests/test_checks.py), which counts two transforms for ``rank``
-under ``moebius``, to expect one.  No operation reads the ``support`` of
+operation that needs them should not transform p a second time.
+``require_member`` returns them, read-only, and ``shapley`` reads them from
+it.  The three operations that still transform p again in
+``contributions`` are marked as expected failures; reading alpha from
+``require_member`` mends them, and waits for the benchmark's tracer
+self-test (perfbench/tests/test_checks.py), which counts two transforms for
+``rank`` under ``moebius``, to expect one.  No operation reads the ``support`` of
 the contributions, so none may build it.  A CLI command runs the
 transforms of the operations it calls and no more: ``compare`` checks each
 family member once, where it evaluates it, and reading a ``simulate``
@@ -27,6 +28,7 @@ from axiometer import (
     InfeasibleCollectionError,
     banzhaf,
     collection_to_json,
+    contributions,
     evaluate,
     frechet_check,
     is_member,
@@ -92,6 +94,14 @@ def test_no_operation_builds_support(name, monkeypatch):
         collections_module.ContributionVector, "support", property(refuse), raising=False
     )
     OPERATIONS[name][0](FEASIBLE)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.1])
+def test_require_member_returns_the_contributions_it_checked(tol):
+    cv = require_member(FEASIBLE, tol)
+    assert cv.tol == tol and cv.axioms == FEASIBLE.axioms
+    assert not cv.alpha.flags.writeable
+    np.testing.assert_array_equal(cv.alpha, contributions(FEASIBLE, tol).alpha)
 
 
 #: Infeasible with no pairwise-bound violation, and with monotonicity broken.

@@ -9,7 +9,10 @@ one-row blocks from J = 6 on.  At J = 1..20 the two scans are compared with
 the whole-array per-bit loops they replaced, on inputs built so that the
 bounds are violated, or met with no slack to spare, on chosen bits only.
 The inputs are dyadic, so the Banzhaf sums are exact whatever the order of
-addition, and every comparison is exact equality.
+addition, and every comparison is exact equality.  Banzhaf is also pinned
+under == to the per-bit loop that gathered its weights per bit, at
+J = 1..20 on one Dirichlet collection per J and at J <= 8 on the
+collections above.
 """
 
 import numpy as np
@@ -29,9 +32,11 @@ from axiometer import (
 from axiometer.lattice import halves, popcounts
 
 from conftest import (
+    dirichlet_collection,
     naive_banzhaf,
     naive_capacity_flags,
     naive_frechet_violations,
+    per_bit_banzhaf,
     per_bit_capacity_flags,
     per_bit_frechet_violations,
     perturbed,
@@ -111,6 +116,13 @@ def test_capacity_flags_match_per_pair_loop(j, tol, block_bytes, monkeypatch):
 def test_banzhaf_matches_per_pair_loop(j):
     for c in collections_of(j):
         np.testing.assert_array_equal(banzhaf(c).values, naive_banzhaf(c.p))
+
+
+@pytest.mark.parametrize("j", range(1, 21))
+def test_banzhaf_equals_per_bit_loop(j):
+    cases = [dirichlet_collection(j)] + (collections_of(j) if j <= 8 else [])
+    for c in cases:
+        np.testing.assert_array_equal(banzhaf(c).values, per_bit_banzhaf(c.p))
 
 
 def special_bits(j: int) -> list[tuple[int, ...]]:
