@@ -52,13 +52,11 @@ from .errors import (
     WeightError,
 )
 from .incompatibility import (
-    Game,
     IncompatibilityAllocation,
     banzhaf,
     shapley,
     shapley_bruteforce,
     shapley_via_moebius,
-    to_game,
 )
 from .lattice import (
     MAX_AXIOMS,
@@ -74,7 +72,6 @@ from .performance import (
     PerformanceResult,
     RankedEntry,
     evaluate,
-    moebius_weights,
     perf_min_diff,
     perf_moebius,
     perf_weighted_sum,

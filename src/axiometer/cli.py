@@ -101,7 +101,7 @@ def _emit(args, payload, table) -> None:
             text += "\n"
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise ParseError(f"cannot write {args.out}: {exc}") from exc
     else:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -82,19 +81,11 @@ class ContributionVector:
 
     ``alpha[S]`` for non-empty S is the probability of satisfying exactly the
     axioms in S and no others; ``alpha[0]`` is the leftover weight of the
-    all-zeros extreme point.  ``support`` lists the masks with weight above
-    ``tol`` (mask 0 included when the leftover is positive); it is computed on
-    first read and cached, so operations that only read ``alpha`` never build
-    it.
+    all-zeros extreme point.
     """
 
     axioms: AxiomSet
     alpha: np.ndarray
-    tol: float
-
-    @cached_property
-    def support(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.alpha > self.tol).tolist())
 
     @property
     def residual(self) -> float:
@@ -132,18 +123,19 @@ class FeasibilityReport:
         return bool(self.feasible)
 
 
-def contributions(c: Collection, tol: float = DEFAULT_TOL) -> ContributionVector:
+def contributions(c: Collection) -> ContributionVector:
     """Decompose ``c`` into extreme-point weights (superset Moebius transform).
 
     Defined for any collection; weights may be negative exactly when ``c`` is
     infeasible.  For feasible collections this is the unique convex
     decomposition over the extreme collections, with ``alpha[0]`` absorbing
     the remainder (the weights over all masks sum to 1 identically because
-    p[empty] = 1).  The ``support`` of the result is built only when read.
+    p[empty] = 1).  Where membership is checked anyway, :func:`require_member`
+    returns the same weights without a second transform.
     """
     alpha = moebius_superset(c.p)
     alpha.setflags(write=False)
-    return ContributionVector(axioms=c.axioms, alpha=alpha, tol=tol)
+    return ContributionVector(axioms=c.axioms, alpha=alpha)
 
 
 def _check_tol(tol: float) -> None:
@@ -237,7 +229,7 @@ def require_member(c: Collection, tol: float = DEFAULT_TOL) -> ContributionVecto
     """Return the contributions of a feasible ``c``; raise otherwise.
 
     The check is that of :func:`is_member`, and the result is the read-only
-    ``ContributionVector`` it computed, equal to ``contributions(c, tol)``.
+    ``ContributionVector`` it computed, equal to ``contributions(c)``.
     An infeasible ``c`` raises InfeasibleCollectionError carrying the
     :func:`is_member` report.
     """
@@ -253,7 +245,7 @@ def require_member(c: Collection, tol: float = DEFAULT_TOL) -> ContributionVecto
             report=report,
         )
     alpha.setflags(write=False)
-    return ContributionVector(axioms=c.axioms, alpha=alpha, tol=tol)
+    return ContributionVector(axioms=c.axioms, alpha=alpha)
 
 
 def _from_weights(axioms: AxiomSet, alpha: np.ndarray) -> Collection:
@@ -319,10 +311,11 @@ def random_collection(
 
     Deterministic given an integer seed; pass a Generator to control the
     stream explicitly.  ``concentration`` is the symmetric Dirichlet
-    parameter (large values concentrate near uniform weights).
+    parameter, a finite number > 0 (large values concentrate near uniform
+    weights).
     """
-    if concentration <= 0.0:
-        raise RangeError(f"concentration must be positive, got {concentration}")
+    if not (math.isfinite(concentration) and concentration > 0.0):
+        raise RangeError(f"concentration must be a finite number > 0, got {concentration}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     weights = rng.dirichlet(np.full(axioms.n_masks, concentration))
     return _from_weights(axioms, weights)

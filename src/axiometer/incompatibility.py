@@ -26,29 +26,12 @@ from itertools import permutations
 
 import numpy as np
 
-from .collections import DEFAULT_TOL, Collection, contributions, require_member
-from .errors import RangeError, SizeError
-from .lattice import AxiomSet, block_rows, halves, popcounts, subset_vector
+from .collections import DEFAULT_TOL, Collection, require_member
+from .errors import SizeError
+from .lattice import AxiomSet, block_rows, halves, popcounts
 
 #: Largest J for which the J!-permutation oracle runs.
 BRUTEFORCE_MAX_AXIOMS = 8
-
-
-@dataclass(frozen=True, eq=False)
-class Game:
-    """Cooperative game v = 1 - p associated with a collection."""
-
-    axioms: AxiomSet
-    v: np.ndarray
-
-    def __post_init__(self):
-        arr = subset_vector(self.axioms, self.v)
-        if arr[0] != 0.0:
-            raise RangeError("a game must assign 0 to the empty coalition")
-        if not np.isfinite(arr).all():
-            raise RangeError("game values must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "v", arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +45,6 @@ class IncompatibilityAllocation:
 
     def by_axiom(self) -> dict[str, float]:
         return {lab: float(v) for lab, v in zip(self.axioms.labels, self.values)}
-
-
-def to_game(c: Collection) -> Game:
-    return Game(axioms=c.axioms, v=1.0 - c.p)
 
 
 def _allocation(axioms: AxiomSet, values: np.ndarray, method: str) -> IncompatibilityAllocation:
@@ -120,9 +99,8 @@ def shapley_via_moebius(c: Collection, tol: float = DEFAULT_TOL) -> Incompatibil
     An independent route to the same allocation: each exact-satisfaction
     weight alpha[S] is split equally among the axioms outside S.
     """
-    require_member(c, tol)
+    alpha = require_member(c, tol).alpha
     j = c.axioms.size
-    alpha = contributions(c, tol).alpha
     cards = popcounts(j)
     psi = np.empty(j)
     for b in range(j):

@@ -62,7 +62,7 @@ def perf_moebius(cap: Capacity, c: Collection, tol: float = DEFAULT_TOL) -> Perf
     """Contribution-weighted measure: sum of u[S] * alpha[S]."""
     _check_pair(cap, c)
     require_member(c, tol)
-    return _result(cap, contributions(c, tol).alpha, "moebius")
+    return _result(cap, contributions(c).alpha, "moebius")
 
 
 def perf_weighted_sum(cap: Capacity, c: Collection, tol: float = DEFAULT_TOL) -> PerformanceResult:
@@ -91,14 +91,6 @@ def perf_min_diff(cap: Capacity, c: Collection, tol: float = DEFAULT_TOL) -> Per
     _check_pair(cap, c)
     require_member(c, tol)
     return _result(cap, c.p - strict_superset_max(c), "min_diff")
-
-
-def moebius_weights(c: Collection, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Contribution weights on non-empty subsets (entry 0 zeroed), for reports."""
-    require_member(c, tol)
-    weights = contributions(c, tol).alpha.copy()
-    weights[0] = 0.0
-    return weights
 
 
 _DISPATCH = {

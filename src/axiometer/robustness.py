@@ -31,7 +31,7 @@ CRITERION_TAGS = ("alpha_maxmin", "max_and_min", "pointwise", "min_vs_max")
 
 @dataclass(frozen=True, eq=False)
 class CollectionFamily:
-    """Collections of one rule under K probability models.
+    """Collections of one rule under K probability models, with distinct names.
 
     Neither construction nor :func:`family_from_json` checks feasibility:
     every evaluation checks each member it reads, at the caller's tolerance.
@@ -52,6 +52,8 @@ class CollectionFamily:
             raise SchemaError(
                 f"{len(names)} model names for {len(members)} collections"
             )
+        if len(set(names)) != len(names):
+            raise SchemaError(f"model names must be distinct, got {list(names)}")
         for c in members:
             if c.axioms.labels != self.axioms.labels:
                 raise SchemaError("family members must share the axiom set")
@@ -237,6 +239,8 @@ def family_from_json(data: dict) -> CollectionFamily:
     models = data["models"]
     if not isinstance(models, list) or not all(isinstance(x, str) for x in models):
         raise ParseError('"models" must be a list of strings')
+    if len(set(models)) != len(models):
+        raise ParseError(f'"models" must be distinct names, got {models}')
     entries = data["collections"]
     if not isinstance(entries, list) or not entries:
         raise ParseError('"collections" must be a non-empty list')

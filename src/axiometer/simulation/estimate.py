@@ -64,7 +64,6 @@ class EstimatedCollection:
     collection: Collection
     n_samples: int
     seed: int
-    sampler: str
     subset_counts: np.ndarray
     stderr: np.ndarray
 
@@ -195,7 +194,6 @@ def estimate_collection(
         collection=collection,
         n_samples=n_samples,
         seed=seed,
-        sampler=sampler.kind,
         subset_counts=subset_counts,
         stderr=stderr,
     )
@@ -428,8 +426,7 @@ def estimated_to_json(est: EstimatedCollection) -> dict:
 def estimated_from_json(data: dict) -> EstimatedCollection:
     """Parse the estimator output schema back into an EstimatedCollection.
 
-    The subset counts are p * N, rounded; the sampler tag is not part of the
-    schema and comes back as "unknown".
+    The subset counts are p * N, rounded.
     """
     from ..collections import _subset_array_from_json, collection_from_json
 
@@ -455,7 +452,6 @@ def estimated_from_json(data: dict) -> EstimatedCollection:
         collection=collection,
         n_samples=n_samples,
         seed=data["seed"],
-        sampler="unknown",
         subset_counts=subset_counts,
         stderr=stderr,
     )

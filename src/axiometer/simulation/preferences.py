@@ -152,8 +152,6 @@ class RankingSampler:
 class ImpartialCulture(RankingSampler):
     """Uniform i.i.d. rankings."""
 
-    kind = "impartial_culture"
-
     def ranking_pmf(self, m: int) -> np.ndarray:
         fact = math.factorial(m)
         return np.full(fact, 1.0 / fact)
@@ -173,8 +171,6 @@ class Mallows(RankingSampler):
 
     phi: float
     sigma: tuple[int, ...]
-
-    kind = "mallows"
 
     def __post_init__(self):
         if not 0.0 < self.phi <= 1.0:

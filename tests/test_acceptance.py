@@ -158,7 +158,6 @@ def test_criterion_6_measure_axioms_on_random_inputs():
                 ContributionVector(
                     axioms=axioms,
                     alpha=np.insert(rest, mask, shared),
-                    tol=1e-9,
                 )
             )
             bumped = cap.u.copy()

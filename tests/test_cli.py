@@ -1,6 +1,9 @@
 """Exit-code contract, output round-trips, and determinism of the CLI."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +148,21 @@ class TestIncompat:
     def test_infeasible_exits_one(self, files):
         write, _ = files
         assert main(["incompat", write("c.json", collection_doc(FLAT_P))]) == 1
+
+    def test_out_file_is_utf8_under_an_ascii_locale(self, files):
+        # input files are read as UTF-8, so output files are written as UTF-8
+        write, tmp = files
+        path = write("c.json", {"axioms": ["é", "b"], "p": {"é": 0.5, "b": 0.5, "é+b": 0.25}})
+        out = tmp / "alloc.txt"
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "axiometer.cli", "incompat", path,
+             "--format", "table", "--out", str(out)],
+            capture_output=True, text=True, check=False,
+            env={"PYTHONPATH": str(src), "LC_ALL": "C"},
+        )
+        assert run.returncode == 0, run.stderr
+        assert "é      0.375000" in out.read_bytes().decode("utf-8")
 
 
 class TestSimulate:
@@ -294,6 +312,15 @@ class TestCompare:
         assert verdicts["min_vs_max"] == "better"
         assert verdicts["pointwise"] == "better"
         assert verdicts["max_and_min"] == "better"
+
+    def test_repeated_model_name_exits_two(self, files, capsys):
+        # the JSON output keys values by model name, so a repeat would drop one
+        write, _ = files
+        cap = write("u.json", capacity_to_json(capacity3(SYNERGY_U)))
+        f = write("f.json", family_doc([STEADY_P, SPIKY_P], ["ic", "ic"]))
+        g = write("g.json", family_doc([STEADY_P, SPIKY_P], ["ic", "mallows"]))
+        assert main(["compare", cap, f, g, "--format", "json"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_misaligned_pointwise_exits_two(self, files):
         write, _ = files

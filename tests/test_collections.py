@@ -107,19 +107,6 @@ class TestContributions:
             expected = np.zeros(8)
             expected[mask] = 1.0
             np.testing.assert_allclose(cv.alpha, expected, atol=1e-12)
-            assert cv.support == (mask,)
-
-    def test_support_lists_positive_masks(self):
-        cv = contributions(collection3(BASELINE_P))
-        assert set(cv.support) == {1, 3, 5, 7}
-
-    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.1])
-    def test_support_built_on_first_read_and_cached(self, tol):
-        cv = contributions(collection3(BASELINE_P), tol)
-        assert "support" not in vars(cv)
-        support = cv.support
-        assert support == tuple(np.flatnonzero(cv.alpha > tol).tolist())
-        assert cv.support is support
 
     def test_weights_of_any_collection_sum_to_one(self):
         rng = np.random.default_rng(43)
@@ -222,9 +209,10 @@ class TestGenerators:
         alpha = contributions(c).alpha
         assert np.max(np.abs(alpha - 1.0 / 16)) < 1e-3
 
-    def test_random_collection_rejects_bad_concentration(self, abc):
-        with pytest.raises(RangeError):
-            random_collection(abc, 1, concentration=0.0)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_random_collection_rejects_bad_concentration(self, abc, bad):
+        with pytest.raises(RangeError, match="concentration"):
+            random_collection(abc, 1, concentration=bad)
 
 
 class TestWorldsMatrix:

@@ -22,14 +22,17 @@ from axiometer import (
     evaluate,
     frechet_check,
     is_member,
+    perf_min_diff,
+    perf_moebius,
+    perf_weighted_sum,
     reconstruct,
     require_member,
     shapley,
+    shapley_via_moebius,
     summarize,
     validate_capacity,
 )
 from axiometer.cli import _emit, main
-from axiometer.incompatibility import Game
 from axiometer.simulation import estimated_from_json
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,7 +45,6 @@ NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 @pytest.mark.parametrize("make", [
     lambda p: Collection(ABC, p),
     lambda u: Capacity(ABC, u - 1.0),
-    lambda v: Game(ABC, v - 1.0),
 ])
 def test_types_reject_non_finite_values(make, bad):
     values = np.ones(8)
@@ -65,7 +67,7 @@ def test_contribution_weights_must_be_finite(bad):
     alpha[7] = 1.0
     alpha[3] = bad
     with pytest.raises(NegativeWeightError, match="must be finite"):
-        reconstruct(ContributionVector(ABC, alpha, 1e-9))
+        reconstruct(ContributionVector(ABC, alpha))
 
 
 def nan_collection(tmp_path) -> str:
@@ -127,11 +129,20 @@ BAD_TOLERANCES = NON_FINITE + (-1e-9,)
     require_member,
     frechet_check,
     shapley,
+    shapley_via_moebius,
     lambda c, tol: evaluate(Capacity(ABC, np.linspace(0.0, 1.0, 8)), c, "moebius", tol),
 ])
 def test_library_tolerance_must_be_finite_and_non_negative(check, tol):
     with pytest.raises(RangeError, match="tol must be a finite number >= 0"):
         check(Collection(ABC, INFEASIBLE_P), tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+@pytest.mark.parametrize("measure", [perf_moebius, perf_weighted_sum, perf_min_diff])
+def test_measure_tolerance_must_be_finite_and_non_negative(measure, tol):
+    cap = Capacity(ABC, np.linspace(0.0, 1.0, 8))
+    with pytest.raises(RangeError, match="tol must be a finite number >= 0"):
+        measure(cap, Collection(ABC, INFEASIBLE_P), tol)
 
 
 @pytest.mark.parametrize("tol", BAD_TOLERANCES)

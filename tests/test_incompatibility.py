@@ -24,7 +24,6 @@ from axiometer import (
     shapley,
     shapley_bruteforce,
     shapley_via_moebius,
-    to_game,
 )
 from axiometer import lattice
 from axiometer.collections import ContributionVector
@@ -50,27 +49,6 @@ EX1_BANZHAF = (0.0, 0.125, 0.525)
 def symmetric_collection(abc, by_size) -> Collection:
     p = np.array([by_size[int(k)] for k in popcounts(3)])
     return Collection(axioms=abc, p=p)
-
-
-class TestToGame:
-    def test_all_ones_maps_to_zero_game(self, abc):
-        game = to_game(extreme(abc, 7))
-        np.testing.assert_array_equal(game.v, np.zeros(8))
-
-    def test_unanimity_indicator_is_rejected_by_membership(self, abc):
-        p = 1.0 - np.array([(m & 0b101) == 0b101 for m in range(8)], dtype=float)
-        p[0] = 1.0
-        c = Collection(axioms=abc, p=p)
-        game = to_game(c)
-        np.testing.assert_array_equal(
-            game.v, [(m & 0b101) == 0b101 for m in range(8)]
-        )
-        with pytest.raises(InfeasibleCollectionError):
-            shapley(c)
-
-    def test_total_violation_entry(self):
-        game = to_game(collection3(BASELINE_P))
-        assert game.v[7] == pytest.approx(0.65)
 
 
 class TestShapley:
@@ -203,7 +181,7 @@ def test_same_cost_means_same_incompatibility():
         alpha[containing] = 0.0
         alpha[axioms.full_mask] += moved
         other = reconstruct(
-            ContributionVector(axioms=axioms, alpha=alpha, tol=1e-9)
+            ContributionVector(axioms=axioms, alpha=alpha)
         )
         without = masks[masks & bit == 0]
         np.testing.assert_allclose(
@@ -229,7 +207,7 @@ def test_no_cost_no_incompatibility():
         alpha = np.zeros(axioms.n_masks)
         alpha[containing] = weights
         c = reconstruct(
-            ContributionVector(axioms=axioms, alpha=alpha, tol=1e-9)
+            ContributionVector(axioms=axioms, alpha=alpha)
         )
         marginals = c.p[[m for m in range(axioms.n_masks) if not m & bit]] - c.p[
             [m | bit for m in range(axioms.n_masks) if not m & bit]

@@ -12,7 +12,6 @@ from axiometer import (
     contributions,
     edge,
     extreme,
-    moebius_weights,
     perf_min_diff,
     perf_moebius,
     perf_weighted_sum,
@@ -134,16 +133,18 @@ def test_strict_superset_max_is_bit_identical_to_per_bit_loop(j):
 
 class TestMoebiusWeights:
     def test_worked_comparison_row(self):
-        weights = moebius_weights(collection3(CONTRAST_P))
+        weights = perf_moebius(capacity3(SYNERGY_U), collection3(CONTRAST_P)).weights
         assert in_presentation_order(weights) == pytest.approx(CONTRAST_W_MOEBIUS, abs=1e-12)
 
     def test_matches_contributions(self):
-        weights = moebius_weights(collection3(DECOMP_P))
+        weights = perf_moebius(capacity3(SYNERGY_U), collection3(DECOMP_P)).weights
         alpha = contributions(collection3(DECOMP_P)).alpha
+        assert weights[0] == 0.0
         np.testing.assert_allclose(weights[1:], alpha[1:], atol=1e-15)
 
     def test_extreme_is_unit(self, abc):
-        weights = moebius_weights(extreme(abc, 0b110))
+        cap = Capacity(axioms=abc, u=np.zeros(8))
+        weights = perf_moebius(cap, extreme(abc, 0b110)).weights
         expected = np.zeros(8)
         expected[0b110] = 1.0
         np.testing.assert_array_equal(weights, expected)
@@ -207,7 +208,7 @@ def _transplant(rng, axioms, mask):
 def contributions_like(axioms, alpha):
     from axiometer.collections import ContributionVector
 
-    return ContributionVector(axioms=axioms, alpha=np.asarray(alpha), tol=1e-9)
+    return ContributionVector(axioms=axioms, alpha=np.asarray(alpha))
 
 
 def test_same_contribution_means_same_impact():

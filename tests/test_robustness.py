@@ -120,6 +120,11 @@ class TestMaxAndMin:
         with pytest.raises(SchemaError):
             compare_max_and_min(UNIT_CAP, fam([0.5]), other)
 
+    def test_repeated_model_names_rejected(self):
+        # results are keyed by model name, so a repeat would hide a value
+        with pytest.raises(SchemaError, match="distinct"):
+            fam([0.5, 0.3], names=("ic", "ic"))
+
 
 class TestPointwise:
     def test_weak_dominance_with_strict_entry(self):
@@ -251,6 +256,16 @@ class TestFamilyJson:
         )
         doc["models"] = ["m", "extra"]
         with pytest.raises(ParseError):
+            family_from_json(doc)
+
+    def test_repeated_model_names(self, abc):
+        doc = family_to_json(
+            CollectionFamily(
+                axioms=abc, members=(extreme(abc, 7), extreme(abc, 3)), model_names=("m", "n")
+            )
+        )
+        doc["models"] = ["m", "m"]
+        with pytest.raises(ParseError, match="distinct"):
             family_from_json(doc)
 
     def test_infeasible_member_rejected(self, abc):
