@@ -91,6 +91,19 @@ def _load_collection(path: str) -> Collection:
     return collection_from_json(data)
 
 
+def _write(stream, text: str) -> None:
+    """Write ``text`` to ``stream`` as UTF-8, as ``--out`` files are, whatever
+    the locale's encoding; a stream with no byte buffer (a StringIO) takes
+    the text as it is."""
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        stream.write(text)
+        return
+    stream.flush()
+    buffer.write(text.encode("utf-8"))
+    buffer.flush()
+
+
 def _emit(args, payload, table) -> None:
     """Write ``payload`` as strict JSON, or the text built by ``table()``."""
     if args.format == "json":
@@ -105,7 +118,7 @@ def _emit(args, payload, table) -> None:
         except OSError as exc:
             raise ParseError(f"cannot write {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, text)
 
 
 def _report_payload(report: FeasibilityReport, collection: Collection) -> dict:
@@ -151,9 +164,9 @@ def _report_table(report: FeasibilityReport, axioms) -> str:
 
 
 def _emit_infeasible(exc: InfeasibleCollectionError, axioms) -> None:
-    sys.stderr.write(f"error: {exc}\n")
+    _write(sys.stderr, f"error: {exc}\n")
     if exc.report is not None:
-        sys.stderr.write(_report_table(exc.report, axioms) + "\n")
+        _write(sys.stderr, _report_table(exc.report, axioms) + "\n")
 
 
 def cmd_validate(args) -> int:
@@ -390,16 +403,16 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except SizeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _write(sys.stderr, f"error: {exc}\n")
         return EXIT_SIZE
     except InfeasibleCollectionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _write(sys.stderr, f"error: {exc}\n")
         return EXIT_INFEASIBLE
     except (ParseError, AlignmentError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _write(sys.stderr, f"error: {exc}\n")
         return EXIT_PARSE
     except AxiometerError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _write(sys.stderr, f"error: {exc}\n")
         return EXIT_PARSE
 
 

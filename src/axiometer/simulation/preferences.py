@@ -134,6 +134,44 @@ class Profile:
         return np.asarray(self.rankings, dtype=np.int64)
 
 
+#: Cells of the guide table that starts each inverse-CDF search.  A power of
+#: two, so that scaling a uniform or a CDF value by it is exact.
+_GUIDE = 1 << 12
+
+
+def _kahan_sum(values: list) -> float:
+    """The compensated sum that ``Generator.choice`` tests a pmf's total with."""
+    if not values:
+        return 0.0
+    total, carry = values[0], 0.0
+    for x in values[1:]:
+        y = x - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
+
+
+def _checked_pmf(pmf) -> np.ndarray:
+    """``pmf`` as float64, or the ValueError ``Generator.choice(p=pmf)`` raises."""
+    atol = math.sqrt(np.finfo(np.float64).eps)
+    if isinstance(pmf, np.ndarray) and np.issubdtype(pmf.dtype, np.floating):
+        atol = max(atol, math.sqrt(np.finfo(pmf.dtype).eps))
+    p = np.asarray(pmf, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    total = _kahan_sum(p.tolist())
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > atol:
+        raise ValueError(
+            "Probabilities do not sum to 1. See Notes section of docstring for more information."
+        )
+    return p
+
+
 class RankingSampler:
     """A distribution over rankings; subclasses give ``ranking_pmf(m)``."""
 
@@ -141,12 +179,35 @@ class RankingSampler:
         """I.i.d. ranking indices drawn from ``ranking_pmf(m)``.
 
         An exactly uniform pmf draws ``rng.integers(0, m!, shape)``; any
-        other pmf is drawn by inverse CDF.
+        other pmf is drawn by inverse CDF through a guide table (Chen & Asau
+        1974), from the same uniforms and with the same result as
+        ``rng.choice(m!, size=shape, p=pmf)``.  A pmf that ``choice`` would
+        reject raises its ValueError before anything is drawn.
         """
-        pmf = self.ranking_pmf(m)
+        pmf = _checked_pmf(self.ranking_pmf(m))
         if (pmf == pmf[0]).all():
-            return rng.choice(pmf.size, size=shape)
-        return rng.choice(pmf.size, size=shape, p=pmf)
+            return rng.integers(0, pmf.size, shape)
+        # choice's CDF and uniforms, both in units of guide cells
+        cdf = pmf.cumsum()
+        cdf /= cdf[-1]
+        cdf *= _GUIDE
+        u = rng.random(shape)
+        u *= _GUIDE
+        # guide[k] is the answer for u = k, so a lower bound for u in [k, k+1);
+        # it is the answer there too unless the CDF steps inside the cell
+        cells = np.arange(_GUIDE + 1)
+        guide = cdf.searchsorted(cells[:-1], side="right")
+        steps_inside = cdf[guide] < cells[1:]
+        idx = u.astype(np.int64)
+        flat_idx, flat_u = idx.reshape(-1), u.reshape(-1)
+        sel = np.flatnonzero(steps_inside[flat_idx])
+        guide.take(idx, out=idx, mode="clip")
+        # advance to the first index with cdf > u: searchsorted(side="right"),
+        # also across the flat stretches that zero-probability rankings leave
+        while sel.size:
+            sel = sel[cdf[flat_idx[sel]] <= flat_u[sel]]
+            flat_idx[sel] += 1
+        return idx
 
 
 class ImpartialCulture(RankingSampler):

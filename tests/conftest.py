@@ -14,7 +14,8 @@ kept so that those can be checked against them bit for bit, and the per-bit
 marginal sums over p that the Shapley and Banzhaf allocations ran before
 Shapley read the contributions.  So is the full-pair world computation that
 Monte Carlo estimation replaced by scoring only the pairs in which one voter
-deviates.
+deviates, and the ``Generator.choice`` draw that the guide-table sampler
+replaced.
 """
 
 from __future__ import annotations
@@ -334,6 +335,31 @@ def full_pair_worlds(rule, axioms, rankings: np.ndarray, m: int, n: int) -> np.n
         else:
             worlds |= relational_batch(ax.predicate, first, last).astype(np.int64) << bit
     return worlds
+
+
+# --- reference sampler ------------------------------------------------------------
+
+
+def choice_draw(pmf: np.ndarray, rng: np.random.Generator, shape) -> np.ndarray:
+    """Ranking indices drawn from ``pmf`` as RankingSampler.sample drew them
+    before the guide table: numpy's ``Generator.choice``, which runs one binary
+    search over the CDF per draw.  The guide table must equal it under ==."""
+    if (pmf == pmf[0]).all():
+        return rng.choice(pmf.size, size=shape)
+    return rng.choice(pmf.size, size=shape, p=pmf)
+
+
+class ChoiceSampler:
+    """``sampler`` drawing through choice_draw, for estimate_collection."""
+
+    def __init__(self, sampler):
+        self.sampler = sampler
+
+    def ranking_pmf(self, m: int) -> np.ndarray:
+        return self.sampler.ranking_pmf(m)
+
+    def sample(self, rng: np.random.Generator, m: int, shape) -> np.ndarray:
+        return choice_draw(self.ranking_pmf(m), rng, shape)
 
 
 #: Denominator of the dyadic collections: their entries are multiples of

@@ -1,5 +1,6 @@
 """Exit-code contract, output round-trips, and determinism of the CLI."""
 
+import io
 import json
 import subprocess
 import sys
@@ -163,6 +164,38 @@ class TestIncompat:
         )
         assert run.returncode == 0, run.stderr
         assert "é      0.375000" in out.read_bytes().decode("utf-8")
+
+    def test_stdout_is_utf8_under_an_ascii_locale(self, files):
+        write, _ = files
+        path = write("c.json", {"axioms": ["é", "b"], "p": {"é": 0.5, "b": 0.5, "é+b": 0.25}})
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "axiometer.cli", "incompat", path,
+             "--format", "table"],
+            capture_output=True, check=False,
+            env={"PYTHONPATH": str(src), "LC_ALL": "C"},
+        )
+        assert run.returncode == 0, run.stderr
+        assert "é      0.375000" in run.stdout.decode("utf-8")
+
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    def test_ascii_streams_get_utf8_bytes(self, files, monkeypatch, stream):
+        # a feasible file's table goes to stdout; an infeasible one's error
+        # lines, which name the axiom, go to stderr
+        write, _ = files
+        second = 0.25 if stream == "stdout" else 0.75
+        path = write("c.json", {"axioms": ["é", "b"], "p": {"é": 0.5, "b": 0.5, "é+b": second}})
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, stream, io.TextIOWrapper(raw, encoding="ascii"))
+        rc = main(["incompat", path, "--format", "table"])
+        getattr(sys, stream).flush()
+        text = raw.getvalue().decode("utf-8")
+        if stream == "stdout":
+            assert rc == 0
+            assert "é      0.375000" in text
+        else:
+            assert rc == 1
+            assert "monotonicity via é" in text
 
 
 class TestSimulate:

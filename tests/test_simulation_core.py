@@ -20,7 +20,9 @@ from axiometer.simulation import (
     apply_rule,
     check_axiom,
 )
-from axiometer.simulation.preferences import encode_rankings, perm_space
+from axiometer.simulation.preferences import RankingSampler, encode_rankings, perm_space
+
+from conftest import choice_draw
 
 RULES = {tag: VotingRule(tag) for tag in ("plurality", "borda", "copeland", "antiplurality")}
 
@@ -350,3 +352,117 @@ class TestSamplers:
         counts = np.bincount(draws, minlength=6)
         result = stats.chisquare(counts, np.full(6, counts.sum() / 6))
         assert result.pvalue > 0.001
+
+
+class FixedPmf(RankingSampler):
+    """A subclass whose ``ranking_pmf`` is whatever array it is given."""
+
+    def __init__(self, pmf):
+        self.pmf = pmf
+
+    def ranking_pmf(self, m: int):
+        return self.pmf
+
+
+def assert_same_draws(sampler, m, shape, seed):
+    """``sampler.sample`` equals the Generator.choice reference under ==, with
+    the same dtype, and leaves the generator in the same state."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sampler.sample(rng, m, shape)
+    ref = choice_draw(sampler.ranking_pmf(m), ref_rng, shape)
+    assert got.dtype == ref.dtype
+    assert got.shape == ref.shape
+    assert (got == ref).all()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+#: Weights for random pmfs: zeros, tied entries, entries below one guide
+#: cell (1/4096) and ordinary ones.
+PMF_WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1.0, 3.0]),
+    st.floats(1e-300, 1.0 / 8192),
+    st.floats(0.01, 1.0),
+)
+
+
+class TestGuideTable:
+    """Mallows draws through the guide table equal Generator.choice(p=pmf)."""
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (50, 2), (65536, 2, 15)])
+    @pytest.mark.parametrize("phi", [1e-300, 0.05, 0.5, 0.8, 0.999])
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_mallows_equals_choice(self, m, phi, shape):
+        # phi = 1e-300 underflows most of the pmf to 0, so its CDF is flat
+        sampler = Mallows(phi, tuple(range(m))[::-1])
+        assert_same_draws(sampler, m, shape, seed=m * 1000 + len(shape))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(PMF_WEIGHTS, min_size=2, max_size=120),
+        dominant=st.one_of(st.none(), st.integers(0, 119)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_pmf_equals_choice(self, weights, dominant, seed):
+        w = np.array(weights)
+        if dominant is not None:
+            # one entry holds almost all the mass
+            w[dominant % w.size] = 1e9 * max(w.sum(), 1.0)
+        if w.sum() == 0.0:
+            w[0] = 1.0
+        assert_same_draws(FixedPmf(w / w.sum()), 3, (4000,), seed)
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            np.array([0.5, 0.25, 0.25 + 1e-9]),
+            # choice widens the sum tolerance to the pmf dtype's sqrt(eps)
+            np.array([0.2, 0.3, 0.5001], dtype=np.float32),
+        ],
+        ids=["float64", "float32"],
+    )
+    def test_sum_within_tolerance_is_accepted(self, pmf):
+        assert_same_draws(FixedPmf(pmf), 3, (1000,), 8)
+
+    @pytest.mark.parametrize(
+        "pmf,message",
+        [
+            (np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.1]]), "1-dimensional"),
+            (np.array([0.5, np.nan, 0.5]), "contain NaN"),
+            (np.array([np.inf, 0.5, 0.5]), "contain NaN"),
+            (np.array([1.5, -0.5, 0.0]), "not non-negative"),
+            (np.array([0.5, 0.25, 0.25 + 1e-7]), "do not sum to 1"),
+        ],
+        ids=["2d", "nan", "inf", "negative", "sum"],
+    )
+    def test_bad_pmf_raises_what_choice_raises(self, pmf, message):
+        # the same ValueError as Generator.choice, before any draw is spent
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"(?i){message}"):
+            FixedPmf(pmf).sample(rng, 3, (10,))
+        assert rng.bit_generator.state == state
+        with pytest.raises(ValueError, match=f"(?i){message}"):
+            choice_draw(pmf, np.random.default_rng(4), (10,))
+
+    def test_uniform_pmf_is_checked_too(self):
+        # choice_draw's uniform branch never looked at the sum
+        with pytest.raises(ValueError, match="(?i)do not sum to 1"):
+            FixedPmf(np.full(6, 1.0)).sample(np.random.default_rng(4), 3, (10,))
+
+    def test_uniforms_on_a_cdf_step_take_the_next_ranking(self):
+        # searchsorted(side="right"): a uniform equal to a CDF value is past
+        # that step, also where zero-probability rankings repeat it.  The pmf
+        # is dyadic, so its CDF is exact; one step (3/8192 past 1/4) falls
+        # inside a guide cell, the others on cell edges.
+        pmf = np.array([0.25, 0.0, 3 / 8192, 0.25 - 3 / 8192, 0.125, 0.0, 0.375])
+        cdf = pmf.cumsum()
+        u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0.0),
+                            np.arange(0, 4096, 256) / 4096, [1 - 2**-53]])
+
+        class FixedUniforms:
+            def random(self, shape):
+                return u.reshape(shape).copy()
+
+        got = FixedPmf(pmf).sample(FixedUniforms(), 3, u.shape)
+        np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))

@@ -33,7 +33,7 @@ from axiometer.simulation import (
 from axiometer.simulation.preferences import perm_space
 from axiometer.simulation.rules import RULE_TAGS, ranking_counts, winners_from_counts
 
-from conftest import full_pair_worlds, random_capacity
+from conftest import ChoiceSampler, full_pair_worlds, random_capacity
 
 PLURALITY = VotingRule("plurality")
 COPELAND = VotingRule("copeland")
@@ -48,6 +48,12 @@ MIXED_TRIPLE = PUNCTUAL_PAIR + [AxiomSpec.builtin("strategyproof_pair")]
 SIX_AXIOMS = [AxiomSpec.builtin(tag) for tag in (
     "monotonicity_pair", "condorcet_consistency", "majority_winner",
     "condorcet_loser_avoidance", "pareto", "strategyproof_pair",
+)]
+
+#: The six built-in axioms in the order of the benchmark's experiments.
+BENCH_AXIOMS = [AxiomSpec.builtin(tag) for tag in (
+    "condorcet_consistency", "majority_winner", "condorcet_loser_avoidance", "pareto",
+    "monotonicity_pair", "strategyproof_pair",
 )]
 
 
@@ -144,6 +150,20 @@ class TestEstimate:
             est.stderr,
             np.sqrt(est.collection.p * (1 - est.collection.p) / 1500),
         )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "rule,m,n,n_samples",
+        [(COPELAND, 4, 15, 100_000), (BORDA, 5, 50, 25_000), (COPELAND, 3, 4, 100_000)],
+        ids=["copeland_m4_n15", "borda_m5_n50", "copeland_m3_n4"],
+    )
+    def test_mallows_counts_equal_the_choice_reference(self, rule, m, n, n_samples, seed):
+        # the benchmark's Mallows experiments: phi 0.8, identity reference, all six axioms
+        sampler = Mallows(0.8, tuple(range(m)))
+        got = estimate_collection(rule, BENCH_AXIOMS, sampler, m, n, n_samples, seed)
+        ref = estimate_collection(rule, BENCH_AXIOMS, ChoiceSampler(sampler), m, n,
+                                  n_samples, seed)
+        np.testing.assert_array_equal(got.subset_counts, ref.subset_counts)
 
     def test_bad_sample_count(self):
         # beyond 2**53 the subset counts are inexact; refused before any draw
