@@ -125,7 +125,6 @@ class EvaluatedProfiles:
 
 def punctual_batch(predicate: str, ev: EvaluatedProfiles) -> np.ndarray:
     """Truth value of a punctual axiom on every profile of the batch."""
-    rows = np.arange(ev.rankings.shape[0])
     if predicate == "majority_winner":
         firsts = ev.counts @ ev.space.first
         has_majority = firsts > ev.n / 2.0
@@ -133,18 +132,17 @@ def punctual_batch(predicate: str, ev: EvaluatedProfiles) -> np.ndarray:
         favorite = np.argmax(has_majority, axis=1)
         return ~exists | (ev.winners == favorite)
     tallies = ev.tallies
-    swapped = tallies.transpose(0, 2, 1)
     if predicate == "condorcet_consistency":
-        beats_all = (tallies > swapped).sum(axis=2) == ev.m - 1
+        beats_all = (tallies > tallies.transpose(0, 2, 1)).sum(axis=2) == ev.m - 1
         exists = beats_all.any(axis=1)
         champion = np.argmax(beats_all, axis=1)
         return ~exists | (ev.winners == champion)
+    # the other two read only the winner's row and column of the tallies
+    rows, w = np.arange(ev.rankings.shape[0]), ev.winners
     if predicate == "condorcet_loser_avoidance":
-        loses_all = (tallies < swapped).sum(axis=2) == ev.m - 1
-        return ~loses_all[rows, ev.winners]
+        return (tallies[rows, w, :] < tallies[rows, :, w]).sum(axis=1) != ev.m - 1
     if predicate == "pareto":
-        dominated = (tallies == ev.n).any(axis=1)
-        return ~dominated[rows, ev.winners]
+        return ~(tallies[rows, :, w] == ev.n).any(axis=1)
     raise RangeError(f"not a punctual predicate: {predicate!r}")
 
 

@@ -46,8 +46,10 @@ from .rules import RULE_TAGS, VotingRule
 ENUMERATION_GUARD = 10**8
 
 #: Most tuples (Monte Carlo) or count-class rows (exact enumeration) that one
-#: block evaluates at once; it bounds memory and changes no result.
-CHUNK_TUPLES = 1 << 16
+#: block evaluates at once; it bounds memory and changes no result.  At
+#: m = 5, n = 50 a Monte Carlo block's arrays come to about 9 MB, small
+#: enough to stay in cache and to reuse the same heap pages block after block.
+CHUNK_TUPLES = 1 << 12
 
 #: Most tuples one estimate may draw: its subset counts are p * N in float64,
 #: exact only up to 2**53.
@@ -166,8 +168,9 @@ def estimate_collection(
 
     Draws ``n_samples`` i.i.d. tuples of profiles from ``sampler`` in blocks
     of at most ``CHUNK_TUPLES`` tuples, computes each tuple's world, and reads
-    the subset probabilities off the world counts.  Deterministic given
-    ``seed``; the block size changes neither the draws nor the result.
+    the subset probabilities off the world counts.  Memory is bounded by one
+    block, not by ``n_samples``.  Deterministic given ``seed``; the block
+    size changes neither the draws nor the result.
     """
     check_problem_size(m, n)
     if not 1 <= n_samples <= MAX_SAMPLES:
@@ -426,7 +429,8 @@ def estimated_to_json(est: EstimatedCollection) -> dict:
 def estimated_from_json(data: dict) -> EstimatedCollection:
     """Parse the estimator output schema back into an EstimatedCollection.
 
-    The subset counts are p * N, rounded.
+    ``"seed"`` must be >= 0 and every ``"stderr"`` entry in [0, 0.5].  The
+    subset counts are p * N, rounded.
     """
     from ..collections import _subset_array_from_json, collection_from_json
 
@@ -442,9 +446,19 @@ def estimated_from_json(data: dict) -> EstimatedCollection:
     n_samples = data["N"]
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ParseError('"N" must be >= 1 and <= 2**53')
+    if data["seed"] < 0:
+        raise ParseError('"seed" must be >= 0')
     collection = collection_from_json({"axioms": data["axioms"], "p": data["p"]})
     axioms = collection.axioms
     stderr = _subset_array_from_json(axioms, data["stderr"], "stderr", 0.0)
+    # sqrt(p (1 - p) / N) never leaves [0, 0.5] for N >= 1
+    inside = (stderr >= 0.0) & (stderr <= 0.5)
+    if not inside.all():
+        bad = int(np.argmin(inside))
+        raise ParseError(
+            f'"stderr" value at subset {{{axioms.subset_key(bad)}}} must be in [0, 0.5], '
+            f"got {stderr[bad]}"
+        )
     subset_counts = np.rint(collection.p * n_samples).astype(np.int64)
     for arr in (subset_counts, stderr):
         arr.setflags(write=False)

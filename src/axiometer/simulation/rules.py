@@ -30,13 +30,20 @@ class VotingRule:
 
 
 def ranking_counts(rankings: np.ndarray, m: int) -> np.ndarray:
-    """Per-ranking ballot counts, shape (B, m!), from a (B, n) index array."""
+    """Per-ranking ballot counts, shape (B, m!), from a (B, n) index array.
+
+    Every index must satisfy ``0 <= r < m!``; this is not checked.  The
+    ballots are counted through one flat index ``b * m! + r`` into the
+    counts, so an index out of range would count into a neighbouring row
+    instead of raising.  A single 1-D index keeps ``np.add.at`` on numpy's
+    fast loop.
+    """
     r = np.asarray(rankings, dtype=np.int64)
     if r.ndim == 1:
         r = r[None, :]
-    space = perm_space(m)
-    counts = np.zeros((r.shape[0], space.count))
-    np.add.at(counts, (np.arange(r.shape[0])[:, None], r), 1.0)
+    fact = perm_space(m).count
+    counts = np.zeros((r.shape[0], fact))
+    np.add.at(counts.reshape(-1), (r + np.arange(0, counts.size, fact)[:, None]).ravel(), 1.0)
     return counts
 
 

@@ -14,13 +14,15 @@ kept so that those can be checked against them bit for bit, and the per-bit
 marginal sums over p that the Shapley and Banzhaf allocations ran before
 Shapley read the contributions.  So is the full-pair world computation that
 Monte Carlo estimation replaced by scoring only the pairs in which one voter
-deviates, and the ``Generator.choice`` draw that the guide-table sampler
-replaced.
+deviates, the ``Generator.choice`` draw that the guide-table sampler
+replaced, and the 2-D ``np.add.at`` ballot count that the flat-index count
+replaced, next to a per-row ``Counter`` loop as its scalar oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -335,6 +337,32 @@ def full_pair_worlds(rule, axioms, rankings: np.ndarray, m: int, n: int) -> np.n
         else:
             worlds |= relational_batch(ax.predicate, first, last).astype(np.int64) << bit
     return worlds
+
+
+# --- ballot-count references ------------------------------------------------------
+
+
+def add_at_counts(rankings: np.ndarray, m: int) -> np.ndarray:
+    """rules.ranking_counts as it counted before the flat index: ``np.add.at``
+    with a (row, ranking) tuple of broadcast indices.  The flat-index count
+    must equal it under ==."""
+    r = np.asarray(rankings, dtype=np.int64)
+    if r.ndim == 1:
+        r = r[None, :]
+    counts = np.zeros((r.shape[0], math.factorial(m)))
+    np.add.at(counts, (np.arange(r.shape[0])[:, None], r), 1.0)
+    return counts
+
+
+def counter_counts(rankings, m: int) -> np.ndarray:
+    """Per-ranking ballot counts of each row of a (B, n) index array, one
+    ``Counter`` per row."""
+    rows = np.atleast_2d(np.asarray(rankings)).tolist()
+    counts = np.zeros((len(rows), math.factorial(m)))
+    for b, row in enumerate(rows):
+        for r, k in Counter(row).items():
+            counts[b, r] = k
+    return counts
 
 
 # --- reference sampler ------------------------------------------------------------

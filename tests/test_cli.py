@@ -287,6 +287,24 @@ class TestEstimateInput:
         assert main(["perf", cap, write("bad.json", doc)]) == 2
         assert '"N" must be >= 1' in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("seed", -1, '"seed" must be >= 0'),
+         ("stderr", -0.5, '"stderr" value at subset'),
+         ("stderr", 7.0, '"stderr" value at subset')],
+        ids=["seed_-1", "stderr_-0.5", "stderr_7"],
+    )
+    def test_estimate_with_negative_seed_or_stderr_out_of_range_exits_two(
+        self, files, capsys, field, value, message
+    ):
+        write, _ = files
+        _, doc, cap = self.estimate(files)
+        doc[field] = {key: value for key in doc["stderr"]} if field == "stderr" else value
+        bad = write("bad.json", doc)
+        for argv in (["validate", bad], ["perf", cap, bad], ["incompat", bad]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {message}")
+
 
 class TestCompare:
     def test_identical_families_equivalent_everywhere(self, files, capsys):

@@ -20,9 +20,11 @@ from axiometer.simulation import (
     apply_rule,
     check_axiom,
 )
+from axiometer.simulation.axioms import EvaluatedProfiles, punctual_batch
 from axiometer.simulation.preferences import RankingSampler, encode_rankings, perm_space
+from axiometer.simulation.rules import ranking_counts
 
-from conftest import choice_draw
+from conftest import add_at_counts, choice_draw, counter_counts
 
 RULES = {tag: VotingRule(tag) for tag in ("plurality", "borda", "copeland", "antiplurality")}
 
@@ -60,6 +62,24 @@ def naive_condorcet_winner(orders):
         ):
             return c
     return None
+
+
+def naive_avoids_condorcet_loser(orders, winner) -> bool:
+    m, n = len(orders[0]), len(orders)
+    return not all(
+        2 * sum(o.index(winner) < o.index(d) for o in orders) < n
+        for d in range(m)
+        if d != winner
+    )
+
+
+def naive_pareto(orders, winner) -> bool:
+    m = len(orders[0])
+    return not any(
+        all(o.index(d) < o.index(winner) for o in orders)
+        for d in range(m)
+        if d != winner
+    )
 
 
 def random_orders(rng, m, n):
@@ -174,18 +194,93 @@ class TestPunctualAxioms:
                     majors = [c for c, k in tops.items() if 2 * k > n]
                     expected = not majors or winner == majors[0]
                 elif tag == "condorcet_loser_avoidance":
-                    expected = not all(
-                        2 * sum(o.index(winner) < o.index(d) for o in orders) < n
-                        for d in range(m)
-                        if d != winner
-                    )
+                    expected = naive_avoids_condorcet_loser(orders, winner)
                 else:  # pareto
-                    expected = not any(
-                        all(o.index(d) < o.index(winner) for o in orders)
-                        for d in range(m)
-                        if d != winner
-                    )
+                    expected = naive_pareto(orders, winner)
                 assert check_axiom(ax, rule, [prof]) == expected, (rule_tag, orders)
+
+
+def plurality_elects_condorcet_loser(rng, m, n):
+    """Orders under which plurality elects 0, a Condorcet loser: 0 tops just
+    under half of the ballots and is last on all others, whose tops the other
+    candidates share."""
+    lead = (n - 1) // 2
+    orders = []
+    for v in range(n):
+        if v < lead:
+            orders.append((0, *(rng.permutation(m - 1) + 1).tolist()))
+        else:
+            top = 1 + v % (m - 1)
+            rest = [c for c in rng.permutation(m).tolist() if c not in (0, top)]
+            orders.append((top, *rest, 0))
+    return orders
+
+
+def antiplurality_elects_dominated(rng, m, n):
+    """Orders under which antiplurality elects 0 through the tie-break while
+    every voter ranks 1 above it."""
+    return [(1, 0, *(rng.permutation(m - 2) + 2).tolist()) for _ in range(n)]
+
+
+class TestPredicatesAtWinner:
+    """condorcet_loser_avoidance and pareto read the winner's row and column
+    of the tallies; on planted blocks they must equal the scalar predicates."""
+
+    @pytest.mark.parametrize("m, n", [(3, 7), (5, 50)])
+    def test_planted_block_matches_scalar_predicates(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        rows = 12
+        loser = [plurality_elects_condorcet_loser(rng, m, n) for _ in range(rows)]
+        dominated = [antiplurality_elects_dominated(rng, m, n) for _ in range(rows)]
+        block = loser + dominated + [random_orders(rng, m, n) for _ in range(rows)]
+        rankings = np.array([encode_rankings(np.array(orders)) for orders in block])
+        for tag, rule in RULES.items():
+            ev = EvaluatedProfiles(rule, rankings, m, n)
+            winners = [naive_winner(tag, orders) for orders in block]
+            np.testing.assert_array_equal(ev.winners, winners)
+            for predicate, naive in (("condorcet_loser_avoidance", naive_avoids_condorcet_loser),
+                                     ("pareto", naive_pareto)):
+                got = punctual_batch(predicate, ev)
+                assert got.dtype == bool and got.shape == (len(block),)
+                expected = [naive(o, w) for o, w in zip(block, winners)]
+                assert got.tolist() == expected, (tag, predicate)
+                if (tag, predicate) == ("plurality", "condorcet_loser_avoidance"):
+                    assert not got[:rows].any()
+                if (tag, predicate) == ("antiplurality", "pareto"):
+                    assert not got[rows:2 * rows].any()
+
+
+class TestRankingCounts:
+    """The flat-index ballot count against the 2-D ``np.add.at`` reference and
+    a per-row ``Counter`` oracle, under ==."""
+
+    @pytest.mark.parametrize("batch", [0, 1, 4097])
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_equals_references(self, m, n, batch):
+        fact = math.factorial(m)
+        rankings = np.random.default_rng(100 * m + n).integers(0, fact, (batch, n))
+        got = ranking_counts(rankings, m)
+        assert got.dtype == np.float64 and got.shape == (batch, fact)
+        np.testing.assert_array_equal(got, add_at_counts(rankings, m))
+        if batch * n <= 5000:
+            np.testing.assert_array_equal(got, counter_counts(rankings, m))
+
+    def test_one_dimensional_input_is_one_row(self):
+        rankings = np.random.default_rng(7).integers(0, 24, 30)
+        got = ranking_counts(rankings, 4)
+        assert got.shape == (1, 24)
+        np.testing.assert_array_equal(got, add_at_counts(rankings, 4))
+        np.testing.assert_array_equal(got, counter_counts(rankings, 4))
+
+    def test_strided_view(self):
+        # the first profile of a (B, 2, n) tuple block, as estimation passes it
+        tuples = np.random.default_rng(8).integers(0, 120, (257, 2, 50))
+        first = tuples[:, 0, :]
+        assert not first.flags.c_contiguous
+        got = ranking_counts(first, 5)
+        np.testing.assert_array_equal(got, add_at_counts(first, 5))
+        np.testing.assert_array_equal(got, counter_counts(first, 5))
 
 
 def raise_candidate(order, candidate):

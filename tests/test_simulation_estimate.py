@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +165,37 @@ class TestEstimate:
         ref = estimate_collection(rule, BENCH_AXIOMS, ChoiceSampler(sampler), m, n,
                                   n_samples, seed)
         np.testing.assert_array_equal(got.subset_counts, ref.subset_counts)
+
+    @pytest.mark.parametrize(
+        "rule,m,n,sampler",
+        [(BORDA, 5, 50, ImpartialCulture()), (BORDA, 5, 50, Mallows(0.8, tuple(range(5)))),
+         (COPELAND, 4, 15, Mallows(0.8, tuple(range(4))))],
+        ids=["borda_m5_n50_ic", "borda_m5_n50_mallows", "copeland_m4_n15_mallows"],
+    )
+    def test_block_size_changes_no_count(self, rule, m, n, sampler, monkeypatch):
+        # 9000 tuples leave the last block partial at every block size
+        counts = []
+        for chunk_tuples in (1 << 16, 1 << 12, 1000):
+            monkeypatch.setattr(estimate_module, "CHUNK_TUPLES", chunk_tuples)
+            est = estimate_collection(rule, BENCH_AXIOMS, sampler, m, n, 9000, 23)
+            counts.append(est.subset_counts)
+        for other in counts[1:]:
+            np.testing.assert_array_equal(other, counts[0])
+
+    @pytest.mark.parametrize("sampler", [ImpartialCulture(), Mallows(0.8, tuple(range(5)))],
+                             ids=["ic", "mallows"])
+    def test_memory_is_bounded_by_the_block_not_by_the_sample_count(self, sampler):
+        peaks = []
+        for blocks in (3, 6):
+            n_samples = blocks * estimate_module.CHUNK_TUPLES
+            tracemalloc.start()
+            try:
+                estimate_collection(BORDA, BENCH_AXIOMS, sampler, 5, 50, n_samples, 5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 16 * 2**20, peaks
+        assert max(peaks) <= 1.1 * min(peaks), peaks
 
     def test_bad_sample_count(self):
         # beyond 2**53 the subset counts are inexact; refused before any draw
@@ -483,6 +515,27 @@ class TestExperimentJson:
         again = estimated_from_json(json.loads(json.dumps(doc)))
         np.testing.assert_array_equal(again.collection.p, est.collection.p)
         np.testing.assert_array_equal(again.world_counts, est.world_counts)
+
+    def test_estimate_with_negative_seed_is_refused(self):
+        doc = estimated_to_json(run_experiment(experiment_from_json(self.spec_doc())))
+        doc["seed"] = -1
+        with pytest.raises(ParseError, match='"seed" must be >= 0'):
+            estimated_from_json(doc)
+
+    @pytest.mark.parametrize("value", [-0.5, 7.0, -0.0001, 0.5000001])
+    def test_estimate_with_stderr_outside_its_range_is_refused(self, value):
+        # sqrt(p (1 - p) / N) lies in [0, 0.5] for every p and N >= 1
+        doc = estimated_to_json(run_experiment(experiment_from_json(self.spec_doc())))
+        doc["stderr"] = {key: value for key in doc["stderr"]}
+        with pytest.raises(ParseError, match=r'"stderr" value at subset .* must be in \[0, 0.5\]'):
+            estimated_from_json(doc)
+
+    def test_estimate_stderr_bounds_are_admitted(self):
+        doc = estimated_to_json(run_experiment(experiment_from_json(self.spec_doc())))
+        keys = list(doc["stderr"])
+        doc["stderr"] = {key: [0.0, 0.5][k % 2] for k, key in enumerate(keys)}
+        est = estimated_from_json(doc)
+        assert est.stderr[1:].tolist() == [[0.0, 0.5][k % 2] for k in range(len(keys))]
 
     def test_seed_override(self):
         spec = experiment_from_json(self.spec_doc())
