@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .collections import _check_tol
+from .collections import DEFAULT_TOL, _check_tol, _subset_document
 from .errors import MonotonicityError, RangeError
 from .lattice import AxiomSet, _pairs, moebius_subset, popcounts, subset_map, subset_vector
 
@@ -77,7 +77,7 @@ def _disjoint_pairs(j: int) -> tuple[np.ndarray, np.ndarray]:
     return t, r
 
 
-def validate_capacity(cap: Capacity, tol: float = 1e-9) -> CapacityReport:
+def validate_capacity(cap: Capacity, tol: float = DEFAULT_TOL) -> CapacityReport:
     """Report monotonicity (over covering pairs) and the additivity flags.
 
     Covering pairs suffice for monotonicity by transitivity.  Super- and
@@ -153,22 +153,8 @@ def normalize(cap: Capacity) -> Capacity:
 
 
 def capacity_from_json(data: dict) -> Capacity:
-    from .collections import _axioms_from_json, _subset_array_from_json
-    from .errors import ParseError
-
-    if not isinstance(data, dict):
-        raise ParseError("capacity document must be a JSON object")
-    extra = set(data) - {"axioms", "u"}
-    if extra:
-        raise ParseError(f"unexpected top-level keys: {sorted(extra)}")
-    if "axioms" not in data or "u" not in data:
-        raise ParseError('capacity document needs "axioms" and "u"')
-    axioms = _axioms_from_json(data["axioms"])
-    u = _subset_array_from_json(axioms, data["u"], "u", 0.0)
-    try:
-        return Capacity(axioms=axioms, u=u)
-    except RangeError as exc:
-        raise ParseError(str(exc)) from exc
+    """Parse the capacity schema; raises ParseError on any deviation."""
+    return _subset_document(data, "capacity", "u", 0.0, Capacity)
 
 
 def capacity_to_json(cap: Capacity) -> dict:

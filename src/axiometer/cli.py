@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .capacities import capacity_from_json
 from .collections import (
+    DEFAULT_TOL,
     Collection,
     FeasibilityReport,
     collection_from_json,
@@ -29,13 +30,7 @@ from .collections import (
     frechet_check,
     is_member,
 )
-from .errors import (
-    AlignmentError,
-    AxiometerError,
-    InfeasibleCollectionError,
-    ParseError,
-    SizeError,
-)
+from .errors import AxiometerError, InfeasibleCollectionError, ParseError, SizeError
 from .incompatibility import banzhaf, shapley
 from .lattice import popcounts, subset_keys, subset_map
 from .performance import MEASURE_TAGS, evaluate, rank_values, require_one_axiom_set
@@ -348,7 +343,9 @@ def _seed(text: str) -> int:
 
 
 def _add_common(parser, default_format="table"):
-    parser.add_argument("--tol", type=_tolerance, default=1e-9, help="feasibility tolerance")
+    parser.add_argument(
+        "--tol", type=_tolerance, default=DEFAULT_TOL, help="feasibility tolerance"
+    )
     parser.add_argument("--format", choices=("json", "table"), default=default_format)
     parser.add_argument("--out", help="write output to this path instead of stdout")
 
@@ -408,9 +405,6 @@ def main(argv=None) -> int:
     except InfeasibleCollectionError as exc:
         _write(sys.stderr, f"error: {exc}\n")
         return EXIT_INFEASIBLE
-    except (ParseError, AlignmentError) as exc:
-        _write(sys.stderr, f"error: {exc}\n")
-        return EXIT_PARSE
     except AxiometerError as exc:
         _write(sys.stderr, f"error: {exc}\n")
         return EXIT_PARSE

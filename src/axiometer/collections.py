@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DuplicateAxiomError,
+    InfeasibleCollectionError,
     NegativeWeightError,
     ParseError,
     RangeError,
@@ -233,8 +234,6 @@ def require_member(c: Collection, tol: float = DEFAULT_TOL) -> ContributionVecto
     An infeasible ``c`` raises InfeasibleCollectionError carrying the
     :func:`is_member` report.
     """
-    from .errors import InfeasibleCollectionError
-
     report, alpha = _membership(c, tol)
     if not report.feasible:
         worst = min(report.negative_contributions, key=lambda t: t[1])
@@ -345,16 +344,31 @@ def worlds_matrix(axioms: AxiomSet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON schema: {"axioms": ["a1", ...], "p": {"a1": 1.0, "a1+a2": 0.8, ...}}
 # Keys are "+"-joined axiom names, order-insensitive; every non-empty subset
-# must appear exactly once and nothing else may appear.
+# must appear exactly once and nothing else may appear.  The capacity, family,
+# estimate and experiment readers check their document shape through the same
+# helpers.
 # ---------------------------------------------------------------------------
+
+
+def _document(data: object, kind: str, keys) -> None:
+    """Raise ParseError unless ``data`` is a JSON object with exactly ``keys``."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{kind} document must be a JSON object")
+    if set(data) != set(keys):
+        raise ParseError(f"{kind} document must have exactly the keys {sorted(keys)}")
+
+
+def _parsed(make, *args):
+    """``make(*args)``, its RangeError raised as a ParseError."""
+    try:
+        return make(*args)
+    except RangeError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _axioms_from_json(data: object) -> AxiomSet:
     if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
         raise ParseError('"axioms" must be a list of strings')
-    for label in data:
-        if "+" in label:
-            raise ParseError(f"bad axiom list: label {label!r} contains '+'")
     try:
         return AxiomSet(tuple(data))
     except (RangeError, DuplicateAxiomError) as exc:
@@ -432,21 +446,19 @@ def _subset_array_from_json(
     return arr
 
 
+def _subset_document(data: object, kind: str, field: str, empty: float, make):
+    """``make(axioms, array)`` of an ``{"axioms": [...], field: {subset map}}`` document.
+
+    ``empty`` is the value at the empty subset, which the map does not list.
+    """
+    _document(data, kind, ("axioms", field))
+    axioms = _axioms_from_json(data["axioms"])
+    return _parsed(make, axioms, _subset_array_from_json(axioms, data[field], field, empty))
+
+
 def collection_from_json(data: dict) -> Collection:
     """Parse the collection schema; raises ParseError on any deviation."""
-    if not isinstance(data, dict):
-        raise ParseError("collection document must be a JSON object")
-    extra = set(data) - {"axioms", "p"}
-    if extra:
-        raise ParseError(f"unexpected top-level keys: {sorted(extra)}")
-    if "axioms" not in data or "p" not in data:
-        raise ParseError('collection document needs "axioms" and "p"')
-    axioms = _axioms_from_json(data["axioms"])
-    p = _subset_array_from_json(axioms, data["p"], "p", 1.0)
-    try:
-        return Collection(axioms=axioms, p=p)
-    except RangeError as exc:
-        raise ParseError(str(exc)) from exc
+    return _subset_document(data, "collection", "p", 1.0, Collection)
 
 
 def collection_to_json(c: Collection) -> dict:

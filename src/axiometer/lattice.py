@@ -39,7 +39,7 @@ SWEEP_BLOCK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class AxiomSet:
-    """Ordered, distinct axiom names; label order defines bit positions."""
+    """Ordered, distinct axiom names without "+"; label order defines bit positions."""
 
     labels: tuple[str, ...]
 
@@ -52,6 +52,8 @@ class AxiomSet:
         for lab in labels:
             if not isinstance(lab, str) or not lab:
                 raise RangeError(f"axiom labels must be non-empty strings, got {lab!r}")
+            if "+" in lab:  # "+" joins the labels of a subset key
+                raise RangeError(f"label {lab!r} contains '+'")
         if len(set(labels)) != len(labels):
             raise DuplicateAxiomError(f"axiom labels must be distinct: {labels}")
         object.__setattr__(self, "labels", labels)

@@ -16,7 +16,15 @@ from typing import Sequence
 import numpy as np
 
 from .capacities import Capacity
-from .collections import DEFAULT_TOL, Collection, collection_from_json
+from .collections import (
+    DEFAULT_TOL,
+    Collection,
+    _axioms_from_json,
+    _document,
+    _parsed,
+    _subset_array_from_json,
+    collection_from_json,
+)
 from .errors import AlignmentError, ParseError, RangeError, SchemaError, WeightError
 from .lattice import AxiomSet, subset_map
 from .performance import evaluate
@@ -45,9 +53,7 @@ class CollectionFamily:
         members = tuple(self.members)
         if not members:
             raise RangeError("a family needs at least one collection")
-        names = tuple(self.model_names) if self.model_names else tuple(
-            f"model_{k}" for k in range(len(members))
-        )
+        names = tuple(self.model_names)
         if len(names) != len(members):
             raise SchemaError(
                 f"{len(names)} model names for {len(members)} collections"
@@ -125,8 +131,13 @@ def alpha_maxmin_score(
     return float(alpha * values.max() + (1.0 - alpha) * values.min())
 
 
-def _verdict(f_ahead: bool, g_ahead: bool) -> str:
-    """The verdict on F when each family is or is not ahead of the other, up to tol."""
+def _verdict(ahead, f, g) -> str:
+    """The verdict on F from whether ``ahead(f, g)`` and ``ahead(g, f)`` hold.
+
+    One rule serves both sides: IEEE subtraction is antisymmetric, so
+    ``(g - f) >= -tol`` holds exactly when ``(f - g) <= tol``.
+    """
+    f_ahead, g_ahead = ahead(f, g), ahead(g, f)
     if f_ahead and g_ahead:
         return EQUIVALENT
     if f_ahead:
@@ -154,9 +165,9 @@ def compare_max_and_min(
     _check_families(cap, fam_f, fam_g)
     vf = family_values(cap, fam_f, measure, tol)
     vg = family_values(cap, fam_g, measure, tol)
-    d_max = float(vf.max() - vg.max())
-    d_min = float(vf.min() - vg.min())
-    verdict = _verdict(d_max >= -tol and d_min >= -tol, d_max <= tol and d_min <= tol)
+    verdict = _verdict(
+        lambda x, y: x.max() - y.max() >= -tol and x.min() - y.min() >= -tol, vf, vg
+    )
     return Comparison(verdict, "max_and_min", tuple(vf), tuple(vg))
 
 
@@ -176,8 +187,7 @@ def compare_pointwise(
         )
     vf = family_values(cap, fam_f, measure, tol)
     vg = family_values(cap, fam_g, measure, tol)
-    diff = vf - vg
-    verdict = _verdict(bool(np.all(diff >= -tol)), bool(np.all(diff <= tol)))
+    verdict = _verdict(lambda x, y: bool(np.all(x - y >= -tol)), vf, vg)
     return Comparison(verdict, "pointwise", tuple(vf), tuple(vg))
 
 
@@ -192,9 +202,7 @@ def compare_min_vs_max(
     _check_families(cap, fam_f, fam_g)
     vf = family_values(cap, fam_f, measure, tol)
     vg = family_values(cap, fam_g, measure, tol)
-    verdict = _verdict(
-        float(vf.min()) >= float(vg.max()) - tol, float(vg.min()) >= float(vf.max()) - tol
-    )
+    verdict = _verdict(lambda x, y: x.min() >= y.max() - tol, vf, vg)
     return Comparison(verdict, "min_vs_max", tuple(vf), tuple(vg))
 
 
@@ -210,8 +218,8 @@ def compare_alpha_maxmin(
     _check_families(cap, fam_f, fam_g)
     score_f = alpha_maxmin_score(cap, fam_f, alpha, measure, tol)
     score_g = alpha_maxmin_score(cap, fam_g, alpha, measure, tol)
-    diff = score_f - score_g
-    return Comparison(_verdict(diff >= -tol, diff <= tol), "alpha_maxmin", (score_f,), (score_g,))
+    verdict = _verdict(lambda x, y: x - y >= -tol, score_f, score_g)
+    return Comparison(verdict, "alpha_maxmin", (score_f,), (score_g,))
 
 
 # ---------------------------------------------------------------------------
@@ -225,42 +233,26 @@ def compare_alpha_maxmin(
 def family_from_json(data: dict) -> CollectionFamily:
     """Parse the family schema; raises ParseError on any deviation.
 
-    Feasibility is not checked here: the evaluation that reads a member
-    checks it, at the caller's tolerance (see :class:`CollectionFamily`).
+    The names, their count and the members' axiom sets are checked by
+    :class:`CollectionFamily`, after every member is read.  Feasibility is
+    not checked here: the evaluation that reads a member checks it, at the
+    caller's tolerance.
     """
-    from .collections import _axioms_from_json, _subset_array_from_json
-
-    if not isinstance(data, dict):
-        raise ParseError("family document must be a JSON object")
-    required = {"axioms", "models", "collections"}
-    if set(data) != required:
-        raise ParseError(f"family document must have exactly the keys {sorted(required)}")
+    _document(data, "family", ("axioms", "models", "collections"))
     axioms = _axioms_from_json(data["axioms"])
     models = data["models"]
     if not isinstance(models, list) or not all(isinstance(x, str) for x in models):
         raise ParseError('"models" must be a list of strings')
-    if len(set(models)) != len(models):
-        raise ParseError(f'"models" must be distinct names, got {models}')
     entries = data["collections"]
     if not isinstance(entries, list) or not entries:
         raise ParseError('"collections" must be a non-empty list')
-    if len(models) != len(entries):
-        raise ParseError(
-            f"{len(models)} model names for {len(entries)} collections"
-        )
     members = []
     for entry in entries:
         if isinstance(entry, dict) and set(entry) == {"axioms", "p"}:
-            member = collection_from_json(entry)
-            if member.axioms.labels != axioms.labels:
-                raise ParseError("embedded collection uses a different axiom set")
-            members.append(member)
-            continue
-        p = _subset_array_from_json(axioms, entry, "collections[]", 1.0)
-        try:
-            members.append(Collection(axioms=axioms, p=p))
-        except RangeError as exc:
-            raise ParseError(str(exc)) from exc
+            members.append(collection_from_json(entry))
+        else:
+            p = _subset_array_from_json(axioms, entry, "collections[]", 1.0)
+            members.append(_parsed(Collection, axioms, p))
     return CollectionFamily(axioms=axioms, members=tuple(members), model_names=tuple(models))
 
 

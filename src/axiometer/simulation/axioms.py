@@ -10,6 +10,7 @@ axiom's arity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -65,27 +66,18 @@ class EvaluatedProfiles:
         self.m = m
         self.n = n
         self.space: PermSpace = perm_space(m)
-        self._counts = None
-        self._winners = None
-        self._tallies = None
 
-    @property
+    @cached_property
     def counts(self) -> np.ndarray:
-        if self._counts is None:
-            self._counts = ranking_counts(self.rankings, self.m)
-        return self._counts
+        return ranking_counts(self.rankings, self.m)
 
-    @property
+    @cached_property
     def winners(self) -> np.ndarray:
-        if self._winners is None:
-            self._winners = winners_from_counts(self.rule, self.counts, self.space)
-        return self._winners
+        return winners_from_counts(self.rule, self.counts, self.space)
 
-    @property
+    @cached_property
     def tallies(self) -> np.ndarray:
-        if self._tallies is None:
-            self._tallies = pairwise_tallies(self.counts, self.space)
-        return self._tallies
+        return pairwise_tallies(self.counts, self.space)
 
     def deviations(self) -> tuple[np.ndarray, np.ndarray, EvaluatedProfiles, EvaluatedProfiles]:
         """Row-aligned batches of every one-voter deviation of every profile.
@@ -112,14 +104,14 @@ class EvaluatedProfiles:
         c - e_before + e_after, so neither batch recounts its ballots.
         """
         first = EvaluatedProfiles(self.rule, self.rankings[row], self.m, self.n)
-        first._winners = self.winners[row]
+        first.winners = self.winners[row]
         second = EvaluatedProfiles(self.rule, first.rankings.copy(), self.m, self.n)
         pair = np.arange(row.size)
         counts = self.counts[row]
         counts[pair, first.rankings[pair, voter]] -= 1.0
         counts[pair, after] += 1.0
         second.rankings[pair, voter] = after
-        second._counts = counts
+        second.counts = counts
         return first, second
 
 

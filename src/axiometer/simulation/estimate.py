@@ -27,7 +27,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ..collections import Collection
+from ..collections import (
+    Collection,
+    _document,
+    _parsed,
+    _subset_array_from_json,
+    collection_from_json,
+    collection_to_json,
+)
 from ..errors import ParseError, RangeError, SizeError
 from ..lattice import AxiomSet, moebius_superset, subset_map, zeta_superset
 from .axioms import (
@@ -363,22 +370,26 @@ def _sampler_from_json(data: object):
         if not isinstance(sigma, list) or any(type(x) is not int for x in sigma):
             raise ParseError('"sigma" must be a list of candidate indices')
         try:
-            return Mallows(phi=float(phi), sigma=tuple(sigma))
-        except OverflowError:  # float(phi) of an integer beyond float range
+            phi = float(phi)
+        except OverflowError:  # an integer beyond float range
             raise ParseError('"phi" must be in (0, 1]') from None
-        except RangeError as exc:
-            raise ParseError(str(exc)) from exc
+        return _parsed(Mallows, phi, tuple(sigma))
     raise ParseError(f"unknown sampler kind {kind!r}")
 
 
+def _check_integers(data: dict, keys: tuple[str, ...]) -> None:
+    """Raise ParseError unless ``keys`` are integers, "N" in [1, 2**53] and "seed" >= 0."""
+    for key in keys:
+        if isinstance(data[key], bool) or not isinstance(data[key], int):
+            raise ParseError(f'"{key}" must be an integer, got {data[key]!r}')
+    if not 1 <= data["N"] <= MAX_SAMPLES:
+        raise ParseError('"N" must be >= 1 and <= 2**53')
+    if data["seed"] < 0:
+        raise ParseError('"seed" must be >= 0')
+
+
 def experiment_from_json(data: dict) -> ExperimentSpec:
-    if not isinstance(data, dict):
-        raise ParseError("experiment document must be a JSON object")
-    required = {"rule", "axioms", "m", "n", "sampler", "N", "seed"}
-    if set(data) != required:
-        raise ParseError(
-            f"experiment document must have exactly the keys {sorted(required)}"
-        )
+    _document(data, "experiment", ("rule", "axioms", "m", "n", "sampler", "N", "seed"))
     if data["rule"] not in RULE_TAGS:
         raise ParseError(f'unknown rule {data["rule"]!r}; choose from {RULE_TAGS}')
     ax_tags = data["axioms"]
@@ -391,19 +402,10 @@ def experiment_from_json(data: dict) -> ExperimentSpec:
         raise ParseError(f'"axioms" must be a non-empty list drawn from {known}')
     if len(set(ax_tags)) != len(ax_tags):
         raise ParseError("axiom tags must be distinct")
-    for key in ("m", "n", "N", "seed"):
-        if isinstance(data[key], bool) or not isinstance(data[key], int):
-            raise ParseError(f'"{key}" must be an integer, got {data[key]!r}')
-    if not 1 <= data["N"] <= MAX_SAMPLES:
-        raise ParseError('"N" must be >= 1 and <= 2**53')
-    if data["seed"] < 0:
-        raise ParseError('"seed" must be >= 0')
+    _check_integers(data, ("m", "n", "N", "seed"))
     sampler = _sampler_from_json(data["sampler"])
-    try:
-        check_problem_size(data["m"], data["n"])
-        sampler.ranking_pmf(data["m"])
-    except RangeError as exc:
-        raise ParseError(str(exc)) from exc
+    _parsed(check_problem_size, data["m"], data["n"])
+    _parsed(sampler.ranking_pmf, data["m"])
     return ExperimentSpec(
         rule=VotingRule(data["rule"]),
         axioms=tuple(AxiomSpec.builtin(t) for t in ax_tags),
@@ -416,8 +418,6 @@ def experiment_from_json(data: dict) -> ExperimentSpec:
 
 
 def estimated_to_json(est: EstimatedCollection) -> dict:
-    from ..collections import collection_to_json
-
     doc = collection_to_json(est.collection)
     axioms = est.collection.axioms
     doc["N"] = est.n_samples
@@ -432,22 +432,9 @@ def estimated_from_json(data: dict) -> EstimatedCollection:
     ``"seed"`` must be >= 0 and every ``"stderr"`` entry in [0, 0.5].  The
     subset counts are p * N, rounded.
     """
-    from ..collections import _subset_array_from_json, collection_from_json
-
-    if not isinstance(data, dict):
-        raise ParseError("estimate document must be a JSON object")
-    if set(data) != _ESTIMATE_KEYS:
-        raise ParseError(
-            f"estimate document must have exactly the keys {sorted(_ESTIMATE_KEYS)}"
-        )
-    for key in ("N", "seed"):
-        if isinstance(data[key], bool) or not isinstance(data[key], int):
-            raise ParseError(f'"{key}" must be an integer')
+    _document(data, "estimate", _ESTIMATE_KEYS)
+    _check_integers(data, ("N", "seed"))
     n_samples = data["N"]
-    if not 1 <= n_samples <= MAX_SAMPLES:
-        raise ParseError('"N" must be >= 1 and <= 2**53')
-    if data["seed"] < 0:
-        raise ParseError('"seed" must be >= 0')
     collection = collection_from_json({"axioms": data["axioms"], "p": data["p"]})
     axioms = collection.axioms
     stderr = _subset_array_from_json(axioms, data["stderr"], "stderr", 0.0)

@@ -373,6 +373,19 @@ class TestCompare:
         assert main(["compare", cap, f, g, "--format", "json"]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("change", ["no_models", "embedded_other_axioms"])
+    def test_family_rejected_by_the_type_exits_two(self, files, capsys, change):
+        write, _ = files
+        cap = write("u.json", capacity_to_json(capacity3(SYNERGY_U)))
+        doc = family_doc([STEADY_P], ["ic"])
+        if change == "no_models":
+            doc["models"] = []
+        else:
+            doc["collections"] = [{"axioms": ["x"], "p": {"x": 0.5}}]
+        f, g = write("f.json", doc), write("g.json", family_doc([STEADY_P], ["ic"]))
+        assert main(["compare", cap, f, g, "--format", "json"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_misaligned_pointwise_exits_two(self, files):
         write, _ = files
         cap = write("u.json", capacity_to_json(capacity3(SYNERGY_U)))

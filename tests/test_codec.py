@@ -16,6 +16,7 @@ from axiometer import (
     AxiomSet,
     Capacity,
     ParseError,
+    RangeError,
     UnknownAxiomError,
     capacity_from_json,
     capacity_to_json,
@@ -34,6 +35,7 @@ from axiometer.simulation import (
     estimate_collection,
     estimated_from_json,
     estimated_to_json,
+    experiment_from_json,
 )
 
 label_lists = st.lists(
@@ -135,6 +137,39 @@ def test_labels_containing_plus_are_rejected(parse, doc):
     with pytest.raises(ParseError) as info:
         parse(doc)
     assert str(info.value) == "bad axiom list: label 'a+b' contains '+'"
+
+
+class _NoDraws(ImpartialCulture):
+    def sample(self, rng, m, shape):
+        raise AssertionError("drew rankings")
+
+
+def test_battery_with_a_plus_in_a_name_raises_before_any_draw():
+    battery = [AxiomSpec.builtin("pareto"), AxiomSpec(name="a+b", predicate="majority_winner")]
+    with pytest.raises(RangeError, match="contains"):
+        estimate_collection(
+            VotingRule("plurality"), battery, _NoDraws(), m=3, n=3, n_samples=10, seed=0
+        )
+
+
+READERS = [
+    (collection_from_json, "collection", ["axioms", "p"]),
+    (capacity_from_json, "capacity", ["axioms", "u"]),
+    (family_from_json, "family", ["axioms", "collections", "models"]),
+    (estimated_from_json, "estimate", ["N", "axioms", "p", "seed", "stderr"]),
+    (experiment_from_json, "experiment", ["N", "axioms", "m", "n", "rule", "sampler", "seed"]),
+]
+
+
+@pytest.mark.parametrize("parse, kind, keys", READERS)
+def test_readers_share_the_document_shape_errors(parse, kind, keys):
+    with pytest.raises(ParseError) as info:
+        parse(["axioms"])
+    assert str(info.value) == f"{kind} document must be a JSON object"
+    for doc in ({"axioms": ["a"]}, {**dict.fromkeys(keys), "extra": 1}):
+        with pytest.raises(ParseError) as info:
+            parse(doc)
+        assert str(info.value) == f"{kind} document must have exactly the keys {keys}"
 
 
 class _Float(float):

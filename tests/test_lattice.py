@@ -65,6 +65,11 @@ class TestAxiomSet:
         with pytest.raises(RangeError):
             AxiomSet(tuple(f"a{i}" for i in range(21)))
 
+    def test_rejects_a_label_containing_plus(self):
+        # the subset {a, b} would share the key "a+b" with the third axiom
+        with pytest.raises(RangeError, match=r"label 'a\+b' contains '\+'"):
+            AxiomSet(("a", "b", "a+b"))
+
     def test_subset_key_roundtrip(self, abc):
         for mask in range(8):
             names = abc.members(mask)

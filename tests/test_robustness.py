@@ -120,6 +120,11 @@ class TestMaxAndMin:
         with pytest.raises(SchemaError):
             compare_max_and_min(UNIT_CAP, fam([0.5]), other)
 
+    def test_empty_model_names_rejected(self):
+        members = (extreme(ONE, 1), extreme(ONE, 0))
+        with pytest.raises(SchemaError, match="0 model names for 2 collections"):
+            CollectionFamily(ONE, members, ())
+
     def test_repeated_model_names_rejected(self):
         # results are keyed by model name, so a repeat would hide a value
         with pytest.raises(SchemaError, match="distinct"):
@@ -349,6 +354,10 @@ COMPARE = {
 }
 
 
+MIRROR = {"better": "worse", "worse": "better", "equivalent": "equivalent",
+          "incomparable": "incomparable"}
+
+
 @pytest.mark.parametrize("criterion", COMPARE)
 def test_verdicts_at_the_tolerance_boundary(criterion):
     # quarter steps are exact in binary, so many differences are exactly +-tol
@@ -367,6 +376,7 @@ def test_verdicts_at_the_tolerance_boundary(criterion):
             compare = partial(compare, alpha=alpha)
         got = compare(UNIT_CAP, fam_f, fam_g, tol=tol)
         assert got.verdict == reference_verdict(criterion, vf, vg, alpha, tol), (vf, vg, tol)
+        assert compare(UNIT_CAP, fam_g, fam_f, tol=tol).verdict == MIRROR[got.verdict]
         seen.add(got.verdict)
     expected = {"equivalent", "better", "worse"}
     assert seen == (expected if criterion == "alpha_maxmin" else expected | {"incomparable"})
