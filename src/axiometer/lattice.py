@@ -7,10 +7,14 @@ carrier type serves satisfaction collections, contribution weights, capacities
 and games alike.  The four transforms below convert between a set function and
 its additive coefficients for the superset or subset order; each runs in
 O(J * 2**J) as one in-place pass per bit through :func:`sweep`.  The passes
-come from :func:`_pairs`, the one block iterator: it yields the low bits on
-transposed cache-sized blocks and the high bits on the whole array.
-:func:`sweep` is its in-place user; the Fréchet bounds in ``collections`` and
-the monotone and strict flags in ``capacities`` are its read-only users.
+come from :func:`_pairs`, the one block iterator: it walks one or several
+arrays of the same length in lockstep, yielding the low bits on transposed
+blocks whose scratch buffers share one cache-sized budget and the high bits
+on the whole arrays, and it copies a block back only into the arrays that
+are writeable.  :func:`sweep` is its in-place user over one array, and the
+strict-superset maximum in ``performance`` updates one array while reading
+a second; the Fréchet bounds in ``collections`` and the monotone and strict
+flags in ``capacities`` only read the views of one array.
 The Shapley reductions in ``incompatibility`` walk the same row blocks
 (:func:`block_rows`) without transposing them.
 Every sweep that pairs each subset S with S + a, here and in the other
@@ -178,7 +182,7 @@ def halves(values: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     :func:`sweep` pairs the rows of its transposed block.
     """
     v = values.reshape(-1, 2, 1 << b)
-    return v[:, 0, :], v[:, 1, :]
+    return v[:, 0], v[:, 1]
 
 
 def block_rows(m: np.ndarray) -> int:
@@ -187,40 +191,59 @@ def block_rows(m: np.ndarray) -> int:
     A power of two, at least 1 and at most the number of rows, so the blocks
     of a ``2**k``-row array tile it exactly.
     """
-    fit = max(1, SWEEP_BLOCK_BYTES // m[0].nbytes)
-    return min(m.shape[0], 1 << (fit.bit_length() - 1))
+    return _rows_within(m.shape[0], m[0].nbytes)
 
 
-def _pairs(arr: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield ``(b, lo, hi)`` for b = 0..J-1, ``lo``/``hi`` pairing each mask
-    without bit b with the mask that has it, as :func:`halves` does.
+def _rows_within(n_rows: int, row_bytes: int) -> int:
+    fit = max(1, SWEEP_BLOCK_BYTES // row_bytes)
+    return min(n_rows, 1 << (fit.bit_length() - 1))
 
-    ``arr`` is a C-contiguous 1-D array of length 2**J.  The low ``J // 2``
-    bits pair entries that lie close together, so numpy would run them in
-    short inner loops; instead each block of about ``SWEEP_BLOCK_BYTES`` of
-    the array, seen as ``2**(J - J//2)`` rows of ``2**(J//2)``, is copied
-    transposed into one scratch buffer, and its low bits are yielded there as
-    rows paired in inner loops at least as long as the block has rows.  Once
-    the caller resumes after the last low bit of a block, the buffer is
-    copied back into ``arr`` if ``arr`` is writeable, so the caller may update
-    the views in place.  The high bits are then yielded on ``arr`` itself.
+
+def _pairs(*arrays: np.ndarray) -> Iterator[tuple[int, ...]]:
+    """Yield ``(b, lo0, hi0, lo1, hi1, ...)`` for b = 0..J-1, each ``lo``/``hi``
+    pairing the masks without bit b of its array with the masks that have it,
+    as :func:`halves` does, and every array's views pairing the same masks.
+
+    The arrays are C-contiguous 1-D arrays of the same length 2**J.  The low
+    ``J // 2`` bits pair entries that lie close together, so numpy would run
+    them in short inner loops; instead each array, seen as ``2**(J - J//2)``
+    rows of ``2**(J//2)``, is walked in blocks of the same rows, copied
+    transposed into one scratch buffer per array, and its low bits are
+    yielded there as rows paired in inner loops at least as long as the block
+    has rows.  The scratch buffers share one budget of about
+    ``SWEEP_BLOCK_BYTES``: with two arrays larger than it, a block has half
+    the rows it would have with one.  Every block reuses the buffers, so a
+    low-bit view holds the current block only.  Once the caller resumes after
+    the last low bit of a block, each writeable array gets its buffer copied
+    back, so the caller may update its views in place; a read-only array is
+    never written.  The high bits are then yielded on the arrays themselves.
     Every entry is visited in the same bit order as in a plain per-bit loop.
     """
-    j = arr.shape[0].bit_length() - 1
+    j = arrays[0].shape[0].bit_length() - 1
     low = j // 2
-    m = arr.reshape(-1, 1 << low)
-    rows = block_rows(m)
+    ms = [arr.reshape(-1, 1 << low) for arr in arrays]
+    rows = _rows_within(ms[0].shape[0], len(ms) * ms[0][0].nbytes)
     shift = rows.bit_length() - 1
-    t = np.empty((m.shape[1], rows))
-    for start in range(0, m.shape[0], rows):
-        block = m[start : start + rows]
-        np.copyto(t, block.T)
-        for b in range(low):
-            yield (b, *halves(t, b + shift))
-        if arr.flags.writeable:
-            np.copyto(block, t.T)
+    ts = [np.empty((1 << low, rows)) for _ in ms]
+    # views of the scratch buffers, which every block refills in place
+    low_views = [_paired(b, ts, b + shift) for b in range(low)]
+    for start in range(0, ms[0].shape[0], rows):
+        for m, t in zip(ms, ts):
+            np.copyto(t, m[start : start + rows].T)
+        yield from low_views
+        for arr, m, t in zip(arrays, ms, ts):
+            if arr.flags.writeable:
+                np.copyto(m[start : start + rows], t.T)
     for b in range(low, j):
-        yield (b, *halves(arr, b))
+        yield _paired(b, arrays, b)
+
+
+def _paired(b: int, arrays: Sequence[np.ndarray], bit: int) -> tuple:
+    """``(b, lo0, hi0, lo1, hi1, ...)``, the :func:`halves` of each array at ``bit``."""
+    views = (b,)
+    for arr in arrays:
+        views += halves(arr, bit)
+    return views
 
 
 def sweep(values, pair) -> np.ndarray:
@@ -228,8 +251,7 @@ def sweep(values, pair) -> np.ndarray:
 
     ``pair(lo, hi)`` updates the views in place.  They come from
     :func:`_pairs`, which runs the low bits on transposed cache-sized blocks
-    and copies each block back into the fresh array; ``sweep`` is its one
-    in-place user, while the Fréchet and capacity scans only read the views.
+    and copies each block back into the fresh array.
     Every entry sees the same operations in the same bit order as with a
     plain per-bit loop, so the result is bit-identical to it.
     """

@@ -24,7 +24,7 @@ import numpy as np
 from .capacities import Capacity
 from .collections import DEFAULT_TOL, Collection, contributions, require_member
 from .errors import RangeError, SchemaError
-from .lattice import AxiomSet, halves, sweep
+from .lattice import AxiomSet, _pairs
 
 MEASURE_TAGS = ("moebius", "weighted_sum", "min_diff")
 
@@ -75,15 +75,22 @@ def perf_weighted_sum(cap: Capacity, c: Collection, tol: float = DEFAULT_TOL) ->
 def strict_superset_max(c: Collection) -> np.ndarray:
     """For each subset, the largest probability among its strict supersets.
 
-    The full set, having none, gets 0.
+    The full set, having none, gets 0.  One blocked pass over the bits, with
+    ``strict`` starting at -inf, runs for each bit b and each S without b
+
+        strict[S] = max(strict[S], p[S + b], strict[S + b]).
+
+    After bits 0..k-1, strict[S] is the max of p[T] over the T > S with
+    T - S inside {0..k-1}: the T that add bit k are S + k itself and those
+    in strict[S + k], which bit k does not write.  ``max`` is exact, so the
+    order of the pass does not change the result.
     """
-    best = sweep(c.p, lambda lo, hi: np.maximum(lo, hi, out=lo))
-    out = np.full(c.axioms.n_masks, -np.inf)
-    for b in range(c.axioms.size):
-        without = halves(out, b)[0]
-        np.maximum(without, halves(best, b)[1], out=without)
-    out[c.axioms.full_mask] = 0.0
-    return out
+    strict = np.full(c.axioms.n_masks, -np.inf)
+    for _, s_lo, s_hi, _, p_hi in _pairs(strict, c.p):
+        np.maximum(s_lo, p_hi, out=s_lo)
+        np.maximum(s_lo, s_hi, out=s_lo)
+    strict[c.axioms.full_mask] = 0.0
+    return strict
 
 
 def perf_min_diff(cap: Capacity, c: Collection, tol: float = DEFAULT_TOL) -> PerformanceResult:

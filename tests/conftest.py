@@ -10,9 +10,10 @@ a loop over every split T + (S - T) of every subset S for the additivity
 flags, and Shapley values in exact rational arithmetic.  The per-bit
 references are the exception: they are the whole-array loops that the
 blocked sweep kernel and the blocked Fréchet and capacity scans replaced,
-kept so that those can be checked against them bit for bit, and the per-bit
-marginal sums over p that the Shapley and Banzhaf allocations ran before
-Shapley read the contributions.  So is the full-pair world computation that
+kept so that those can be checked against them bit for bit, the
+cascade-then-shift strict-superset maximum that one fused pass replaced,
+and the per-bit marginal sums over p that the Shapley and Banzhaf
+allocations ran before Shapley read the contributions.  So is the full-pair world computation that
 Monte Carlo estimation replaced by scoring only the pairs in which one voter
 deviates, the ``Generator.choice`` draw that the guide-table sampler
 replaced, and the 2-D ``np.add.at`` ballot count that the flat-index count
@@ -162,7 +163,13 @@ def per_bit_sweep(x, kind: str) -> np.ndarray:
 
 
 def per_bit_strict_superset_max(p: np.ndarray) -> np.ndarray:
-    """performance.strict_superset_max with its superset-max cascade as a per-bit loop."""
+    """The strict-superset maximum that one fused blocked pass replaced, verbatim.
+
+    It runs the cascade-then-shift algorithm: a superset-max cascade
+    ``best[S] = max of p[T] over T >= S``, then one pass per bit that shifts
+    it, ``out[S] = max over b not in S of best[S + b]``.
+    performance.strict_superset_max must equal it to the last bit.
+    """
     n = p.shape[0]
     j = n.bit_length() - 1
     best = p.copy()

@@ -1,5 +1,12 @@
 """Every sweep that pairs S with S + a, against per-pair and per-bit loops.
 
+The block iterator ``lattice._pairs`` is checked on its own with one, two
+and three mask-valued arrays at J = 1..10, at the default block and at
+64 bytes: every yielded pair is its own array's ``halves`` pair, the arrays'
+views pair the same masks, every mask sees bits 0..J-1 in order, writes
+through the views land in the writeable arrays, and a read-only array is
+left as it was.
+
 The fast paths pair subsets through ``lattice.halves``, and the Fréchet and
 capacity scans walk the transposed cache blocks of ``lattice._pairs``.  At
 J = 1..8 the oracles in conftest walk every (S, a) pair one at a time; the
@@ -72,6 +79,69 @@ def test_halves_pairs_each_mask_with_its_bit_added(j):
         assert np.all(np.diff(without.ravel()) > 0)
         without[...] = -1
         assert np.count_nonzero(masks == -1) == without.size == 1 << j - 1
+
+
+def mask_arrays(j: int, writeable: tuple[bool, ...]) -> list[np.ndarray]:
+    """One array per flag, array k holding k * 2**J + S at each mask S, so
+    every value names its array and its mask; the flag sets ``writeable``."""
+    arrays = []
+    for k, flag in enumerate(writeable):
+        arr = np.arange(1 << j, dtype=np.float64) + k * (1 << j)
+        arr.setflags(write=flag)
+        arrays.append(arr)
+    return arrays
+
+
+#: One, two and three arrays, writeable or read-only.
+WRITEABLE = [(True,), (False,), (True, False), (True, True), (True, False, True)]
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+@pytest.mark.parametrize("writeable", WRITEABLE)
+@pytest.mark.parametrize("j", range(1, 11))
+def test_pairs_yields_each_arrays_halves_in_bit_order(j, writeable, block_bytes, monkeypatch):
+    monkeypatch.setattr(lattice, "SWEEP_BLOCK_BYTES", block_bytes)
+    arrays = mask_arrays(j, writeable)
+    n = 1 << j
+    next_bit = np.zeros(n, dtype=np.int64)  # the bit each mask must see next
+    seen = [[[] for _ in arrays] for _ in range(j)]
+    for b, *views in lattice._pairs(*arrays):
+        assert len(views) == 2 * len(arrays)
+        masks = views[0]  # array 0 holds the masks themselves
+        for k, (lo, hi) in enumerate(zip(views[::2], views[1::2])):
+            np.testing.assert_array_equal(lo - k * n, masks)
+            np.testing.assert_array_equal(hi - k * n, masks + (1 << b))
+            seen[b][k].append(lo.flatten())  # a copy: the scratch buffer is reused
+        touched = np.concatenate([masks.ravel(), masks.ravel() + (1 << b)]).astype(np.int64)
+        assert np.all(next_bit[touched] == b)
+        next_bit[touched] += 1
+    assert np.all(next_bit == j)
+    for b in range(j):
+        for k, arr in enumerate(arrays):
+            got = np.sort(np.concatenate(seen[b][k]))
+            np.testing.assert_array_equal(got, halves(arr, b)[0].ravel())
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+@pytest.mark.parametrize("writeable", WRITEABLE)
+@pytest.mark.parametrize("j", range(1, 11))
+def test_pairs_writes_back_only_into_writeable_arrays(j, writeable, block_bytes, monkeypatch):
+    monkeypatch.setattr(lattice, "SWEEP_BLOCK_BYTES", block_bytes)
+    arrays = mask_arrays(j, writeable)
+    copies = [arr.copy() for arr in arrays]
+    # a superset sum through the views of each writeable array, and through
+    # halves on a copy of it; integer sums below 2**53 are exact
+    for _, *views in lattice._pairs(*arrays):
+        for flag, lo, hi in zip(writeable, views[::2], views[1::2]):
+            if flag:
+                np.add(lo, hi, out=lo)
+    for flag, arr, copy in zip(writeable, arrays, copies):
+        if flag:
+            for b in range(j):
+                lo, hi = halves(copy, b)
+                np.add(lo, hi, out=lo)
+        np.testing.assert_array_equal(arr, copy)
+        assert arr.flags.writeable == flag
 
 
 @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)

@@ -12,6 +12,7 @@ from axiometer import (
     contributions,
     edge,
     extreme,
+    lattice,
     perf_min_diff,
     perf_moebius,
     perf_weighted_sum,
@@ -33,6 +34,7 @@ from conftest import (
     CONTRAST_W_MOEBIUS,
     capacity3,
     collection3,
+    dirichlet_collection,
     in_presentation_order,
     naive_strict_superset_max,
     per_bit_strict_superset_max,
@@ -117,18 +119,47 @@ class TestMinDiff:
             axioms = AxiomSet(tuple(f"a{i}" for i in range(j)))
             for _ in range(30):
                 c = random_feasible(rng, axioms)
-                np.testing.assert_allclose(
-                    strict_superset_max(c), naive_strict_superset_max(c.p), atol=1e-12
-                )
+                # max is exact, so the oracle is met to the last bit
+                assert np.array_equal(strict_superset_max(c), naive_strict_superset_max(c.p))
 
 
+#: The default block, and 64 bytes: with the two arrays of the fused pass,
+#: one-row blocks from J = 4 on.
+BLOCK_BYTES = [lattice.SWEEP_BLOCK_BYTES, 64]
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
 @pytest.mark.parametrize("j", range(1, 21))
-def test_strict_superset_max_is_bit_identical_to_per_bit_loop(j):
+def test_strict_superset_max_is_bit_identical_to_per_bit_loop(j, block_bytes, monkeypatch):
+    monkeypatch.setattr(lattice, "SWEEP_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(500 + j)
-    p = rng.uniform(0.0, 1.0, 1 << j)
+    p = rng.uniform(0.0, 1.0, 1 << j)  # not monotone
     p[0] = 1.0
-    c = Collection(AxiomSet(tuple(f"a{i}" for i in range(j))), p)
-    assert np.array_equal(strict_superset_max(c), per_bit_strict_superset_max(c.p))
+    axioms = AxiomSet(tuple(f"a{i}" for i in range(j)))
+    for c in (Collection(axioms, p), dirichlet_collection(j)):
+        assert np.array_equal(strict_superset_max(c), per_bit_strict_superset_max(c.p))
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+def test_strict_superset_max_keeps_the_bits_of_ties_and_signed_zeros(block_bytes, monkeypatch):
+    """Quarter steps tie often, and every zero gets a random sign, so some
+    subsets have only zeros of both signs above them: which zero wins then
+    depends on the order of the maxima, and the bit patterns must agree."""
+    monkeypatch.setattr(lattice, "SWEEP_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(31)
+    negative_zeros = 0
+    for j in range(1, 9):
+        axioms = AxiomSet(tuple(f"a{i}" for i in range(j)))
+        for high in (2, 0):  # quarters in [0, 0.5], then zeros only
+            for _ in range(10):
+                p = rng.integers(0, high + 1, axioms.n_masks) / 4
+                p[(p == 0.0) & (rng.random(axioms.n_masks) < 0.5)] = -0.0
+                p[0] = 1.0
+                got = strict_superset_max(Collection(axioms, p))
+                want = per_bit_strict_superset_max(p)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                negative_zeros += int(np.count_nonzero(np.signbit(want) & (want == 0.0)))
+    assert negative_zeros > 0
 
 
 class TestMoebiusWeights:
