@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ArityError, RangeError, SchemaError
 from .preferences import PermSpace, Profile, perm_space
-from .rules import VotingRule, pairwise_tallies, ranking_counts, winners_from_counts
+from .rules import VotingRule, ranking_counts, rule_scores, winners_from_counts
 
 PUNCTUAL_TAGS = (
     "condorcet_consistency",
@@ -58,7 +58,14 @@ class AxiomSpec:
 
 
 class EvaluatedProfiles:
-    """Lazy per-batch caches shared by all predicates on the same profiles."""
+    """Lazy per-batch caches shared by all predicates on the same profiles.
+
+    ``table`` is the batch's score table, ``counts @ space.scores``: the rule
+    and every punctual predicate read slices of it, so one matmul serves
+    them all.  ``margins[b, c, d]`` is the number of voters of row b who
+    prefer c to d minus the number who prefer d to c, and ``copeland`` the
+    Copeland scores.
+    """
 
     def __init__(self, rule: VotingRule, rankings: np.ndarray, m: int, n: int):
         self.rule = rule
@@ -72,12 +79,21 @@ class EvaluatedProfiles:
         return ranking_counts(self.rankings, self.m)
 
     @cached_property
-    def winners(self) -> np.ndarray:
-        return winners_from_counts(self.rule, self.counts, self.space)
+    def table(self) -> np.ndarray:
+        return self.counts @ self.space.scores
 
     @cached_property
-    def tallies(self) -> np.ndarray:
-        return pairwise_tallies(self.counts, self.space)
+    def winners(self) -> np.ndarray:
+        return winners_from_counts(self.rule, self.counts, self.space, self.table)
+
+    @cached_property
+    def margins(self) -> np.ndarray:
+        m = self.m
+        return self.table[:, : m * m].reshape(-1, m, m)
+
+    @cached_property
+    def copeland(self) -> np.ndarray:
+        return rule_scores("copeland", self.table, self.space)
 
     def deviations(self) -> tuple[np.ndarray, np.ndarray, EvaluatedProfiles, EvaluatedProfiles]:
         """Row-aligned batches of every one-voter deviation of every profile.
@@ -116,25 +132,25 @@ class EvaluatedProfiles:
 
 
 def punctual_batch(predicate: str, ev: EvaluatedProfiles) -> np.ndarray:
-    """Truth value of a punctual axiom on every profile of the batch."""
-    if predicate == "majority_winner":
-        firsts = ev.counts @ ev.space.first
-        has_majority = firsts > ev.n / 2.0
-        exists = has_majority.any(axis=1)
-        favorite = np.argmax(has_majority, axis=1)
-        return ~exists | (ev.winners == favorite)
-    tallies = ev.tallies
+    """Truth value of a punctual axiom on every profile of the batch.
+
+    Each predicate reads the winner's entry of a per-candidate array, and
+    "some candidate" is a product with ``space.ones``, which costs less
+    than a reduction over so short an axis.
+    """
+    rows, w, ones = np.arange(ev.rankings.shape[0]), ev.winners, ev.space.ones
     if predicate == "condorcet_consistency":
-        beats_all = (tallies > tallies.transpose(0, 2, 1)).sum(axis=2) == ev.m - 1
-        exists = beats_all.any(axis=1)
-        champion = np.argmax(beats_all, axis=1)
-        return ~exists | (ev.winners == champion)
-    # the other two read only the winner's row and column of the tallies
-    rows, w = np.arange(ev.rankings.shape[0]), ev.winners
+        # a Condorcet winner beats all m - 1 others, so there is at most one
+        champion = ev.copeland == ev.m - 1
+        return champion[rows, w] | (champion @ ones == 0)
+    if predicate == "majority_winner":
+        major = rule_scores("plurality", ev.table, ev.space) > ev.n / 2.0
+        return major[rows, w] | (major @ ones == 0)
     if predicate == "condorcet_loser_avoidance":
-        return (tallies[rows, w, :] < tallies[rows, :, w]).sum(axis=1) != ev.m - 1
+        return ev.copeland[rows, w] != 1 - ev.m
     if predicate == "pareto":
-        return ~(tallies[rows, :, w] == ev.n).any(axis=1)
+        # d beats w by n exactly when every voter prefers d to w
+        return (ev.margins[rows, :, w] == ev.n) @ ones == 0
     raise RangeError(f"not a punctual predicate: {predicate!r}")
 
 

@@ -39,19 +39,24 @@ class PermSpace:
     """Precomputed lookup tables over all m! rankings (cached per m).
 
     ``perms[k, pos]`` is the candidate at position ``pos`` of ranking k
-    (position 0 = most preferred); ``rank[k, c]`` inverts it.  The score
-    matrices turn a per-ranking count vector into rule scores by one matmul.
+    (position 0 = most preferred); ``rank[k, c]`` inverts it.
     ``raise_up[k, c]`` is the ranking obtained from k by moving candidate c
     one position towards the top (-1 when c is already on top).
+
+    ``scores`` (m!, m*m + 3m) turns per-ranking counts into every score the
+    rules and punctual axioms read, by one matmul.  Row k holds, in order:
+    the pairwise margins of ranking k flattened as ``c * m + d`` (+1 when c
+    is above d, -1 when below, 0 when c = d), then the top indicator, the
+    Borda points and minus the bottom indicator.  ``row_sum`` (m*m, m) sums
+    each candidate's m margins, and ``ones`` (m,) sums over the candidates.
     """
 
     m: int
     perms: np.ndarray
     rank: np.ndarray
-    first: np.ndarray
-    borda: np.ndarray
-    last_neg: np.ndarray
-    pair_flat: np.ndarray
+    scores: np.ndarray
+    row_sum: np.ndarray
+    ones: np.ndarray
     raise_up: np.ndarray
 
     @property
@@ -65,10 +70,10 @@ def perm_space(m: int) -> PermSpace:
     fact = perms.shape[0]
     rank = np.empty_like(perms)
     rank[np.arange(fact)[:, None], perms] = np.arange(m)[None, :]
-    first = (rank == 0).astype(np.float64)
-    borda = (m - 1 - rank).astype(np.float64)
-    last_neg = -(rank == m - 1).astype(np.float64)
-    pair = (rank[:, :, None] < rank[:, None, :]).astype(np.float64)
+    margins = np.sign(rank[:, None, :] - rank[:, :, None]).reshape(fact, m * m)
+    scores = np.hstack([margins, rank == 0, m - 1 - rank, -1 * (rank == m - 1)]).astype(np.float64)
+    row_sum = np.repeat(np.eye(m), m, axis=0)
+    ones = np.ones(m)
     index_of = {tuple(p): k for k, p in enumerate(perms.tolist())}
     raise_up = np.full((fact, m), -1, dtype=np.int64)
     for k, p in enumerate(perms.tolist()):
@@ -76,9 +81,9 @@ def perm_space(m: int) -> PermSpace:
             q = list(p)
             q[pos - 1], q[pos] = q[pos], q[pos - 1]
             raise_up[k, p[pos]] = index_of[tuple(q)]
-    for arr in (perms, rank, first, borda, last_neg, pair, raise_up):
+    for arr in (perms, rank, scores, row_sum, ones, raise_up):
         arr.setflags(write=False)
-    return PermSpace(m, perms, rank, first, borda, last_neg, pair.reshape(fact, m * m), raise_up)
+    return PermSpace(m, perms, rank, scores, row_sum, ones, raise_up)
 
 
 def encode_rankings(rankings: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Single-winner voting rules with lexicographic tie-breaking.
 
-All rules are deterministic functions of the profile: scores are computed
-from the per-ranking count vector by one matrix product, and ``argmax`` picks
-the lowest-indexed candidate among maximal scores, which is exactly the fixed
+All rules are deterministic functions of the profile: their scores are
+slices of one score table, computed from the per-ranking count vectors by one
+matrix product with ``PermSpace.scores``, and ``argmax`` picks the
+lowest-indexed candidate among maximal scores, which is exactly the fixed
 lexicographic tie-break.
 """
 
@@ -47,24 +48,37 @@ def ranking_counts(rankings: np.ndarray, m: int) -> np.ndarray:
     return counts
 
 
-def pairwise_tallies(counts: np.ndarray, space: PermSpace) -> np.ndarray:
-    """tallies[b, c, d] = number of voters preferring c to d in batch row b."""
+#: Where each scoring rule's scores start in a score table, after the m * m
+#: margins, in units of m columns.
+_SCORE_BLOCK = {"plurality": 0, "borda": 1, "antiplurality": 2}
+
+
+def rule_scores(tag: str, table: np.ndarray, space: PermSpace) -> np.ndarray:
+    """Scores of rule ``tag`` for every candidate of every batch row, from a score table.
+
+    The scoring rules read their m columns of the table; Copeland scores,
+    pairwise wins minus pairwise losses, are the signs of the margins
+    summed per candidate.
+    """
     m = space.m
-    return (counts @ space.pair_flat).reshape(counts.shape[0], m, m)
+    if tag == "copeland":
+        return np.sign(table[:, : m * m]) @ space.row_sum
+    start = m * m + m * _SCORE_BLOCK[tag]
+    return table[:, start : start + m]
 
 
-def winners_from_counts(rule: VotingRule, counts: np.ndarray, space: PermSpace) -> np.ndarray:
-    if rule.name == "plurality":
-        scores = counts @ space.first
-    elif rule.name == "borda":
-        scores = counts @ space.borda
-    elif rule.name == "antiplurality":
-        scores = counts @ space.last_neg
-    else:  # copeland
-        tallies = pairwise_tallies(counts, space)
-        swapped = tallies.transpose(0, 2, 1)
-        scores = (tallies > swapped).sum(axis=2) - (tallies < swapped).sum(axis=2)
-    return np.argmax(scores, axis=1)
+def winners_from_counts(
+    rule: VotingRule, counts: np.ndarray, space: PermSpace, table: np.ndarray | None = None
+) -> np.ndarray:
+    """Winner of every batch row.
+
+    ``table`` is the score table ``counts @ space.scores``; it is computed
+    when not given.  Its entries are integers of magnitude at most
+    n * (m - 1), so float64 holds them exactly.
+    """
+    if table is None:
+        table = counts @ space.scores
+    return np.argmax(rule_scores(rule.name, table, space), axis=1)
 
 
 def apply_rule(rule: VotingRule, profile: Profile) -> int:

@@ -20,7 +20,7 @@ from axiometer.simulation import (
     apply_rule,
     check_axiom,
 )
-from axiometer.simulation.axioms import EvaluatedProfiles, punctual_batch
+from axiometer.simulation.axioms import PUNCTUAL_TAGS, EvaluatedProfiles, punctual_batch
 from axiometer.simulation.preferences import RankingSampler, encode_rankings, perm_space
 from axiometer.simulation.rules import ranking_counts
 
@@ -80,6 +80,19 @@ def naive_pareto(orders, winner) -> bool:
         for d in range(m)
         if d != winner
     )
+
+
+def naive_predicate(predicate: str, orders, winner) -> bool:
+    if predicate == "condorcet_consistency":
+        cw = naive_condorcet_winner(orders)
+        return cw is None or winner == cw
+    if predicate == "majority_winner":
+        tops = Counter(o[0] for o in orders)
+        majors = [c for c, k in tops.items() if 2 * k > len(orders)]
+        return not majors or winner == majors[0]
+    if predicate == "condorcet_loser_avoidance":
+        return naive_avoids_condorcet_loser(orders, winner)
+    return naive_pareto(orders, winner)
 
 
 def random_orders(rng, m, n):
@@ -185,18 +198,7 @@ class TestPunctualAxioms:
             orders = random_orders(rng, m, n)
             prof = Profile.from_orders(orders)
             for rule_tag, rule in RULES.items():
-                winner = naive_winner(rule_tag, orders)
-                if tag == "condorcet_consistency":
-                    cw = naive_condorcet_winner(orders)
-                    expected = cw is None or winner == cw
-                elif tag == "majority_winner":
-                    tops = Counter(o[0] for o in orders)
-                    majors = [c for c, k in tops.items() if 2 * k > n]
-                    expected = not majors or winner == majors[0]
-                elif tag == "condorcet_loser_avoidance":
-                    expected = naive_avoids_condorcet_loser(orders, winner)
-                else:  # pareto
-                    expected = naive_pareto(orders, winner)
+                expected = naive_predicate(tag, orders, naive_winner(rule_tag, orders))
                 assert check_axiom(ax, rule, [prof]) == expected, (rule_tag, orders)
 
 
@@ -222,32 +224,102 @@ def antiplurality_elects_dominated(rng, m, n):
     return [(1, 0, *(rng.permutation(m - 2) + 2).tolist()) for _ in range(n)]
 
 
-class TestPredicatesAtWinner:
-    """condorcet_loser_avoidance and pareto read the winner's row and column
-    of the tallies; on planted blocks they must equal the scalar predicates."""
+def borda_passes_over_majority(rng, m, n):
+    """Orders under which 0 tops a bare majority of the ballots, and so is
+    the Condorcet winner, but Borda elects 1 for n >= 5: 1 is second on the
+    majority's ballots and first on all others, where 0 is last."""
+    orders = []
+    for v in range(n):
+        rest = (rng.permutation(m - 2) + 2).tolist()
+        orders.append((0, 1, *rest) if v <= n // 2 else (1, *rest, 0))
+    return orders
 
-    @pytest.mark.parametrize("m, n", [(3, 7), (5, 50)])
+
+def plurality_passes_over_condorcet_winner(rng, m, n):
+    """Orders under which 0 tops a third of the ballots and is second on all
+    others, whose tops 1 and 2 share, 1 on one ballot more than 0.  For
+    n = 7 and n = 50, 0 is the Condorcet winner and plurality elects 1."""
+    a = n // 3
+    orders = []
+    for v in range(n):
+        top = 0 if v < a else 1 if v <= 2 * a else 2
+        rest = [d for d in rng.permutation(m).tolist() if d not in (0, top)]
+        orders.append((0, *rest) if top == 0 else (top, 0, *rest))
+    return orders
+
+
+PLANTED = {
+    # (rule, predicate) -> the planted orders on which the rule fails it
+    ("plurality", "condorcet_loser_avoidance"): plurality_elects_condorcet_loser,
+    ("antiplurality", "pareto"): antiplurality_elects_dominated,
+    ("borda", "majority_winner"): borda_passes_over_majority,
+    ("borda", "condorcet_consistency"): borda_passes_over_majority,
+    ("plurality", "condorcet_consistency"): plurality_passes_over_condorcet_winner,
+}
+PLANTERS = list(dict.fromkeys(PLANTED.values()))
+
+
+class TestPredicatesAtWinner:
+    """Winners and every punctual predicate, read off one score table per
+    block, must equal the scalar rules and predicates on every row."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 50])
+    @pytest.mark.parametrize("m", [3, 4, 5])
     def test_planted_block_matches_scalar_predicates(self, m, n):
+        # even n gives pairwise ties (margin 0) and ties at n / 2 first places
         rng = np.random.default_rng(10 * m + n)
         rows = 12
-        loser = [plurality_elects_condorcet_loser(rng, m, n) for _ in range(rows)]
-        dominated = [antiplurality_elects_dominated(rng, m, n) for _ in range(rows)]
-        block = loser + dominated + [random_orders(rng, m, n) for _ in range(rows)]
+        block = [planter(rng, m, n) for planter in PLANTERS for _ in range(rows)]
+        block += [random_orders(rng, m, n) for _ in range(rows)]
         rankings = np.array([encode_rankings(np.array(orders)) for orders in block])
         for tag, rule in RULES.items():
             ev = EvaluatedProfiles(rule, rankings, m, n)
             winners = [naive_winner(tag, orders) for orders in block]
-            np.testing.assert_array_equal(ev.winners, winners)
-            for predicate, naive in (("condorcet_loser_avoidance", naive_avoids_condorcet_loser),
-                                     ("pareto", naive_pareto)):
+            assert ev.winners.tolist() == winners, tag
+            for predicate in PUNCTUAL_TAGS:
                 got = punctual_batch(predicate, ev)
                 assert got.dtype == bool and got.shape == (len(block),)
-                expected = [naive(o, w) for o, w in zip(block, winners)]
+                expected = [naive_predicate(predicate, o, w) for o, w in zip(block, winners)]
                 assert got.tolist() == expected, (tag, predicate)
-                if (tag, predicate) == ("plurality", "condorcet_loser_avoidance"):
-                    assert not got[:rows].any()
-                if (tag, predicate) == ("antiplurality", "pareto"):
-                    assert not got[rows:2 * rows].any()
+                if (tag, predicate) in PLANTED and n >= 7:
+                    at = PLANTERS.index(PLANTED[tag, predicate]) * rows
+                    assert not got[at : at + rows].any(), (tag, predicate)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_empty_batch(self, m):
+        for rule in RULES.values():
+            ev = EvaluatedProfiles(rule, np.zeros((0, 4), dtype=np.int64), m, 4)
+            assert ev.winners.shape == (0,)
+            for predicate in PUNCTUAL_TAGS:
+                got = punctual_batch(predicate, ev)
+                assert got.dtype == bool and got.shape == (0,), predicate
+
+
+class TestScoreTable:
+    """Each row of ``perm_space(m).scores`` against a scalar build from the
+    ranking it stands for."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_rows_equal_scalar_build(self, m):
+        space = perm_space(m)
+        assert space.scores.shape == (math.factorial(m), m * m + 3 * m)
+        for k, order in enumerate(space.perms.tolist()):
+            pos = order.index
+            margins = [
+                (pos(c) < pos(d)) - (pos(c) > pos(d)) for c in range(m) for d in range(m)
+            ]
+            first = [int(order[0] == c) for c in range(m)]
+            borda = [m - 1 - pos(c) for c in range(m)]
+            last_neg = [-int(order[-1] == c) for c in range(m)]
+            assert space.scores[k].tolist() == margins + first + borda + last_neg, order
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_read_only(self, m):
+        space = perm_space(m)
+        for arr in (space.scores, space.row_sum, space.ones):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            space.scores[0, 0] = 2.0
 
 
 class TestRankingCounts:

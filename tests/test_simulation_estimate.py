@@ -275,9 +275,9 @@ class TestWorlds:
             counted.append(len(rankings))
             return ranking_counts(rankings, m)
 
-        def scoring(rule, counts, space):
+        def scoring(rule, counts, *rest):
             scored.append(len(counts))
-            return winners_from_counts(rule, counts, space)
+            return winners_from_counts(rule, counts, *rest)
 
         monkeypatch.setattr(axioms_module, "ranking_counts", counting)
         monkeypatch.setattr(axioms_module, "winners_from_counts", scoring)
