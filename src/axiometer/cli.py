@@ -58,9 +58,8 @@ EXIT_SIZE = 3
 
 
 def _presentation_masks(axioms):
-    """Non-empty masks ordered by subset size, then bit pattern."""
-    cards = popcounts(axioms.size)
-    return sorted(axioms.nonempty_masks(), key=lambda m: (int(cards[m]), m))
+    """Non-empty masks (ints) ordered by subset size, then bit pattern."""
+    return (popcounts(axioms.size)[1:].argsort(kind="stable") + 1).tolist()
 
 
 def _load_json(path: str) -> dict:
@@ -158,12 +157,6 @@ def _report_table(report: FeasibilityReport, axioms) -> str:
     return "\n".join(lines)
 
 
-def _emit_infeasible(exc: InfeasibleCollectionError, axioms) -> None:
-    _write(sys.stderr, f"error: {exc}\n")
-    if exc.report is not None:
-        _write(sys.stderr, _report_table(exc.report, axioms) + "\n")
-
-
 def cmd_validate(args) -> int:
     collection = _load_collection(args.collection)
     report = is_member(collection, args.tol)
@@ -188,11 +181,7 @@ def cmd_perf(args) -> int:
         for name, path in zip(names, args.collections)
     ]
     require_one_axiom_set(entries)
-    try:
-        results = [evaluate(cap, c, args.measure, args.tol) for _, c in entries]
-    except InfeasibleCollectionError as exc:
-        _emit_infeasible(exc, cap.axioms)
-        return EXIT_INFEASIBLE
+    results = [evaluate(cap, c, args.measure, args.tol) for _, c in entries]
     ranked = rank_values([(name, r.value) for name, r in zip(names, results)])
     weights = {name: r.weights for name, r in zip(names, results)}
     axioms = cap.axioms
@@ -231,14 +220,10 @@ def cmd_perf(args) -> int:
 
 def cmd_incompat(args) -> int:
     collection = _load_collection(args.collection)
-    try:
-        if args.method == "shapley":
-            alloc = shapley(collection, args.tol)
-        else:
-            alloc = banzhaf(collection)
-    except InfeasibleCollectionError as exc:
-        _emit_infeasible(exc, collection.axioms)
-        return EXIT_INFEASIBLE
+    if args.method == "shapley":
+        alloc = shapley(collection, args.tol)
+    else:
+        alloc = banzhaf(collection)
     overall = 1.0 - float(collection.p[collection.axioms.full_mask])
     payload = {
         "method": alloc.method,
@@ -403,7 +388,8 @@ def main(argv=None) -> int:
         _write(sys.stderr, f"error: {exc}\n")
         return EXIT_SIZE
     except InfeasibleCollectionError as exc:
-        _write(sys.stderr, f"error: {exc}\n")
+        report = "" if exc.report is None else _report_table(exc.report, exc.axioms) + "\n"
+        _write(sys.stderr, f"error: {exc}\n{report}")
         return EXIT_INFEASIBLE
     except AxiometerError as exc:
         _write(sys.stderr, f"error: {exc}\n")

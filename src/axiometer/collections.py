@@ -232,7 +232,7 @@ def require_member(c: Collection, tol: float = DEFAULT_TOL) -> ContributionVecto
     The check is that of :func:`is_member`, and the result is the read-only
     ``ContributionVector`` it computed, equal to ``contributions(c)``.
     An infeasible ``c`` raises InfeasibleCollectionError carrying the
-    :func:`is_member` report.
+    :func:`is_member` report and ``c.axioms``.
     """
     report, alpha = _membership(c, tol)
     if not report.feasible:
@@ -241,7 +241,8 @@ def require_member(c: Collection, tol: float = DEFAULT_TOL) -> ContributionVecto
             f"collection is not a consistent probability assignment "
             f"(worst contribution {worst[1]:.6g} at subset "
             f"{{{c.axioms.subset_key(worst[0])}}})",
-            report=report,
+            report,
+            c.axioms,
         )
     alpha.setflags(write=False)
     return ContributionVector(axioms=c.axioms, alpha=alpha)

@@ -52,9 +52,11 @@ class SizeError(AxiometerError, ValueError):
 class InfeasibleCollectionError(AxiometerError, ValueError):
     """Operation requires a feasible collection but membership failed.
 
-    Carries the offending feasibility report in ``report`` when available.
+    Carries the offending feasibility report in ``report`` and the axiom set
+    it refers to in ``axioms``, when available.
     """
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report=None, axioms=None):
         super().__init__(message)
         self.report = report
+        self.axioms = axioms

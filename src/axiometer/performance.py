@@ -26,8 +26,6 @@ from .collections import DEFAULT_TOL, Collection, contributions, require_member
 from .errors import RangeError, SchemaError
 from .lattice import AxiomSet, _pairs
 
-MEASURE_TAGS = ("moebius", "weighted_sum", "min_diff")
-
 #: Two values closer than this rank as a tie.
 TIE_TOL = 1e-9
 
@@ -105,6 +103,7 @@ _DISPATCH = {
     "weighted_sum": perf_weighted_sum,
     "min_diff": perf_min_diff,
 }
+MEASURE_TAGS = tuple(_DISPATCH)
 
 
 def evaluate(
@@ -154,27 +153,19 @@ def require_one_axiom_set(named: Sequence[tuple[str, Collection]]) -> None:
 
 
 def rank_values(named_values: Sequence[tuple[str, float]]) -> list[RankedEntry]:
-    """Order named measure values, descending, with the tie rule of :func:`rank`."""
+    """Order named measure values, descending, with the tie rule of :func:`rank`.
+
+    A value more than ``TIE_TOL`` below the group head starts a new group,
+    whose rank is its head's position plus one.
+    """
     values = [value for _, value in named_values]
     order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    ranked: list[RankedEntry] = []
-    group: list[int] = []
-    group_head = None
-
-    def flush():
-        start_rank = len(ranked) + 1
-        for i in sorted(group):
-            ranked.append(
-                RankedEntry(name=named_values[i][0], value=values[i], rank=start_rank)
-            )
-
-    for i in order:
-        if group_head is None or values[i] < group_head - TIE_TOL:
-            if group:
-                flush()
-            group = [i]
-            group_head = values[i]
-        else:
-            group.append(i)
-    flush()
-    return ranked
+    ranks = {}
+    for position, i in enumerate(order):
+        if position == 0 or values[i] < head - TIE_TOL:
+            head, head_rank = values[i], position + 1
+        ranks[i] = head_rank
+    return [
+        RankedEntry(name=named_values[i][0], value=values[i], rank=ranks[i])
+        for i in sorted(ranks, key=lambda i: (ranks[i], i))
+    ]

@@ -3,13 +3,23 @@
 When the sampling distribution is ambiguous, a rule is described by a family
 of collections, one per candidate model.  Two roads to a verdict: collapse
 the family into a single summary collection (convex combination), or compare
-the sets of measure values directly.  The three partial criteria are nested —
-min-vs-max decides least often, then point-wise, then max-and-min — while the
-alpha-maxmin score always decides.
+the sets of measure values directly.
+
+Every criterion puts values x ahead of values y when each of its differences
+is ``>= -tol``: ``max x - max y`` and ``min x - min y`` (max-and-min),
+``x[k] - y[k]`` for every model k (point-wise), ``min x - max y``
+(min-vs-max), and the difference of the scores ``alpha * max + (1 - alpha) *
+min`` (alpha-maxmin).  F is equivalent to G when each is ahead of the other,
+better or worse when one is, and incomparable when neither is.  Rounded
+subtraction is monotone, so the partial criteria nest exactly in floating
+point: ahead under min-vs-max implies ahead under point-wise, which implies
+ahead under max-and-min, and min-vs-max implies max-and-min for families that
+are not aligned too.  The alpha-maxmin score always decides.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +44,15 @@ WORSE = "worse"
 EQUIVALENT = "equivalent"
 INCOMPARABLE = "incomparable"
 
-CRITERION_TAGS = ("alpha_maxmin", "max_and_min", "pointwise", "min_vs_max")
+#: The differences that must all be ``>= -tol`` for values x to be ahead of
+#: values y (two families' measure values, or two alpha-maxmin scores).
+_AHEAD = {
+    "alpha_maxmin": operator.sub,
+    "max_and_min": lambda x, y: (x.max() - y.max(), x.min() - y.min()),
+    "pointwise": operator.sub,
+    "min_vs_max": lambda x, y: x.min() - y.max(),
+}
+CRITERION_TAGS = tuple(_AHEAD)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,13 +149,15 @@ def alpha_maxmin_score(
     return float(alpha * values.max() + (1.0 - alpha) * values.min())
 
 
-def _verdict(ahead, f, g) -> str:
-    """The verdict on F from whether ``ahead(f, g)`` and ``ahead(g, f)`` hold.
+def _verdict(criterion: str, f, g, tol: float) -> str:
+    """The verdict on F from whether F is ahead of G and G ahead of F.
 
     One rule serves both sides: IEEE subtraction is antisymmetric, so
     ``(g - f) >= -tol`` holds exactly when ``(f - g) <= tol``.
     """
-    f_ahead, g_ahead = ahead(f, g), ahead(g, f)
+    ahead = _AHEAD[criterion]
+    f_ahead = bool(np.all(np.greater_equal(ahead(f, g), -tol)))
+    g_ahead = bool(np.all(np.greater_equal(ahead(g, f), -tol)))
     if f_ahead and g_ahead:
         return EQUIVALENT
     if f_ahead:
@@ -154,6 +174,19 @@ def _check_families(cap: Capacity, fam_f: CollectionFamily, fam_g: CollectionFam
         raise SchemaError("capacity axioms do not match the families")
 
 
+def _compare_values(criterion: str, cap, fam_f, fam_g, measure, tol) -> Comparison:
+    """Evaluate both families once and decide under a value criterion."""
+    _check_families(cap, fam_f, fam_g)
+    if criterion == "pointwise" and fam_f.model_names != fam_g.model_names:
+        raise AlignmentError(
+            "point-wise comparison is defined only for identical model lists; "
+            f"got {fam_f.model_names} vs {fam_g.model_names}"
+        )
+    vf = family_values(cap, fam_f, measure, tol)
+    vg = family_values(cap, fam_g, measure, tol)
+    return Comparison(_verdict(criterion, vf, vg, tol), criterion, tuple(vf), tuple(vg))
+
+
 def compare_max_and_min(
     cap: Capacity,
     fam_f: CollectionFamily,
@@ -162,13 +195,7 @@ def compare_max_and_min(
     tol: float = DEFAULT_TOL,
 ) -> Comparison:
     """Better iff ahead on both the best case and the worst case."""
-    _check_families(cap, fam_f, fam_g)
-    vf = family_values(cap, fam_f, measure, tol)
-    vg = family_values(cap, fam_g, measure, tol)
-    verdict = _verdict(
-        lambda x, y: x.max() - y.max() >= -tol and x.min() - y.min() >= -tol, vf, vg
-    )
-    return Comparison(verdict, "max_and_min", tuple(vf), tuple(vg))
+    return _compare_values("max_and_min", cap, fam_f, fam_g, measure, tol)
 
 
 def compare_pointwise(
@@ -179,16 +206,7 @@ def compare_pointwise(
     tol: float = DEFAULT_TOL,
 ) -> Comparison:
     """Better iff ahead under every single model; needs aligned model lists."""
-    _check_families(cap, fam_f, fam_g)
-    if fam_f.model_names != fam_g.model_names:
-        raise AlignmentError(
-            "point-wise comparison is defined only for identical model lists; "
-            f"got {fam_f.model_names} vs {fam_g.model_names}"
-        )
-    vf = family_values(cap, fam_f, measure, tol)
-    vg = family_values(cap, fam_g, measure, tol)
-    verdict = _verdict(lambda x, y: bool(np.all(x - y >= -tol)), vf, vg)
-    return Comparison(verdict, "pointwise", tuple(vf), tuple(vg))
+    return _compare_values("pointwise", cap, fam_f, fam_g, measure, tol)
 
 
 def compare_min_vs_max(
@@ -198,12 +216,8 @@ def compare_min_vs_max(
     measure: str = "moebius",
     tol: float = DEFAULT_TOL,
 ) -> Comparison:
-    """Better iff the worst case of F beats the best case of G."""
-    _check_families(cap, fam_f, fam_g)
-    vf = family_values(cap, fam_f, measure, tol)
-    vg = family_values(cap, fam_g, measure, tol)
-    verdict = _verdict(lambda x, y: x.min() >= y.max() - tol, vf, vg)
-    return Comparison(verdict, "min_vs_max", tuple(vf), tuple(vg))
+    """Better iff the worst case of F is ahead of the best case of G."""
+    return _compare_values("min_vs_max", cap, fam_f, fam_g, measure, tol)
 
 
 def compare_alpha_maxmin(
@@ -218,7 +232,7 @@ def compare_alpha_maxmin(
     _check_families(cap, fam_f, fam_g)
     score_f = alpha_maxmin_score(cap, fam_f, alpha, measure, tol)
     score_g = alpha_maxmin_score(cap, fam_g, alpha, measure, tol)
-    verdict = _verdict(lambda x, y: x - y >= -tol, score_f, score_g)
+    verdict = _verdict("alpha_maxmin", score_f, score_g, tol)
     return Comparison(verdict, "alpha_maxmin", (score_f,), (score_g,))
 
 

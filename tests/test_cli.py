@@ -393,6 +393,19 @@ class TestCompare:
         g = write("g.json", family_doc([STEADY_P, SPIKY_P], ["mallows", "ic"]))
         assert main(["compare", cap, f, g, "--criterion", "pointwise"]) == 2
 
+    def test_infeasible_member_prints_the_report_that_perf_prints(self, files, capsys):
+        write, _ = files
+        cap = write("u.json", capacity_to_json(capacity3(SYNERGY_U)))
+        bad = write("bad.json", collection_doc(FLAT_P))
+        fam = write("f.json", family_doc([FLAT_P], ["m"]))
+        assert main(["perf", cap, bad]) == 1
+        perf_err = capsys.readouterr().err
+        assert "feasible: no\n" in perf_err and "negative contributions:\n" in perf_err
+        for criterion in ("alpha_maxmin", "max_and_min", "pointwise", "min_vs_max"):
+            assert main(["compare", cap, fam, fam, "--criterion", criterion]) == 1
+            out = capsys.readouterr()
+            assert (out.out, out.err) == ("", perf_err)
+
     def test_tol_reaches_the_family_feasibility_check(self, files, capsys):
         # contribution at the empty set is 1 - 0.6 - 0.400001 + 0 = -1e-6
         write, _ = files

@@ -104,6 +104,7 @@ def test_infeasible_report_matches_is_member(name, tol):
     assert not report.feasible
     assert bool(report.frechet_violations) == (name == "non_monotone")
     assert info.value.report == report
+    assert info.value.axioms is c.axioms
 
 
 DEMO = Path(__file__).resolve().parents[1] / "demo"

@@ -20,7 +20,7 @@ from axiometer import (
     reconstruct,
 )
 from axiometer.capacities import capacity_moebius
-from axiometer.performance import strict_superset_max
+from axiometer.performance import TIE_TOL, RankedEntry, rank_values, strict_superset_max
 
 from conftest import (
     FLAT_P,
@@ -181,6 +181,19 @@ class TestMoebiusWeights:
         np.testing.assert_array_equal(weights, expected)
 
 
+def reference_ranking(named):
+    """The documented tie rule, group by group: in descending order (input
+    order among equal values), a group takes every value within TIE_TOL of
+    its head, and its rank is the head's position plus one."""
+    order = sorted(range(len(named)), key=lambda i: (-named[i][1], i))
+    ranked = []
+    while len(ranked) < len(order):
+        head = named[order[len(ranked)]][1]
+        group = [i for i in order[len(ranked):] if named[i][1] >= head - TIE_TOL]
+        ranked += [RankedEntry(named[i][0], named[i][1], len(ranked) + 1) for i in sorted(group)]
+    return ranked
+
+
 class TestRank:
     def test_opposite_orders_around_the_worked_pair(self):
         cap = capacity3(SYNERGY_U)
@@ -206,6 +219,23 @@ class TestRank:
         ranked = rank(entries, cap, "moebius")
         assert [e.name for e in ranked] == ["second_copy", "first_copy", "weaker"]
         assert [e.rank for e in ranked] == [1, 1, 3]
+
+    def test_a_group_is_measured_from_its_head(self):
+        # each neighbour is within TIE_TOL of the next, the third is not
+        # within TIE_TOL of the head
+        step = 0.6 * TIE_TOL
+        ranked = rank_values([("c", 1.0 - 2 * step), ("b", 1.0 - step), ("a", 1.0)])
+        assert [(e.name, e.rank) for e in ranked] == [("b", 1), ("a", 1), ("c", 3)]
+
+    def test_tie_chains_follow_the_head_rule(self):
+        rng = np.random.default_rng(211)
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            steps = TIE_TOL * rng.uniform(0.5, 1.5, size=n)
+            steps[rng.random(n) < 0.2] = 0.0  # exact repeats
+            chain = float(rng.uniform(-5.0, 5.0)) - np.cumsum(steps)
+            named = [(f"r{i}", float(v)) for i, v in enumerate(rng.permutation(chain))]
+            assert rank_values(named) == reference_ranking(named), named
 
     def test_mixed_axiom_sets_rejected(self):
         other = AxiomSet(("x", "y", "z"))

@@ -203,6 +203,72 @@ def test_criteria_nest_on_random_families():
                 assert sf <= sg + 1e-9
 
 
+#: The families a verdict puts ahead: F, G, both or neither.
+AHEAD = {"better": {"f"}, "worse": {"g"}, "equivalent": {"f", "g"}, "incomparable": set()}
+
+
+def near_tolerance_values(rng, base, tol, k):
+    """``k`` values within a tolerance of ``base``, each a few ulps off
+    ``base`` plus a multiple of ``tol / 2``, so that their differences land
+    within a few ulps of the multiples of ``tol / 2`` from -2 tol to 2 tol."""
+    values = base + tol * rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=k)
+    for _ in range(int(rng.integers(0, 4))):
+        values = np.nextafter(values, rng.choice([-np.inf, np.inf], size=k))
+    return values.tolist()
+
+
+def test_criteria_nest_within_ulps_of_the_tolerance():
+    # every criterion is a difference >= -tol and rounded subtraction is
+    # monotone, so the nesting holds exactly in floating point
+    rng = np.random.default_rng(139)
+    for _ in range(1500):
+        tol = float(10.0 ** rng.uniform(-12.0, -1.0))
+        base = float(rng.uniform(0.2, 0.8))
+        k = int(rng.integers(1, 4))
+        vf = near_tolerance_values(rng, base, tol, k)
+        vg = near_tolerance_values(rng, base, tol, k)
+        fam_f, fam_g = fam(vf), fam(vg)
+        strictest = AHEAD[compare_min_vs_max(UNIT_CAP, fam_f, fam_g, tol=tol).verdict]
+        middle = AHEAD[compare_pointwise(UNIT_CAP, fam_f, fam_g, tol=tol).verdict]
+        weakest = AHEAD[compare_max_and_min(UNIT_CAP, fam_f, fam_g, tol=tol).verdict]
+        assert strictest <= middle <= weakest, (vf, vg, tol)
+        # min-vs-max implies max-and-min for families of different sizes too
+        vh = near_tolerance_values(rng, base, tol, int(rng.integers(1, 4)))
+        fam_h = fam(vh)
+        strictest = AHEAD[compare_min_vs_max(UNIT_CAP, fam_f, fam_h, tol=tol).verdict]
+        weakest = AHEAD[compare_max_and_min(UNIT_CAP, fam_f, fam_h, tol=tol).verdict]
+        assert strictest <= weakest, (vf, vh, tol)
+
+
+def test_one_model_families_get_one_verdict():
+    # with one model, max, min and the single value coincide, and so do the
+    # alpha-maxmin scores at alpha 0 and 1
+    rng = np.random.default_rng(149)
+    cases = [(0.8119288470122431, 0.8132702392002724, 0.0013413921880292817)]
+    for _ in range(500):
+        tol = float(10.0 ** rng.uniform(-12.0, -1.0))
+        base = float(rng.uniform(0.2, 0.8))
+        cases.append((*near_tolerance_values(rng, base, tol, 2), tol))
+    seen = set()
+    for vf, vg, tol in cases:
+        fam_f, fam_g = fam([vf]), fam([vg])
+        verdicts = {
+            compare(UNIT_CAP, fam_f, fam_g, tol=tol).verdict
+            for compare in (
+                compare_max_and_min,
+                compare_pointwise,
+                compare_min_vs_max,
+                partial(compare_alpha_maxmin, alpha=0.0),
+                partial(compare_alpha_maxmin, alpha=1.0),
+            )
+        }
+        assert len(verdicts) == 1, (vf, vg, tol, verdicts)
+        seen |= verdicts
+    assert seen == {"better", "worse", "equivalent"}
+    vf, vg, tol = cases[0]
+    assert compare_min_vs_max(UNIT_CAP, fam([vf]), fam([vg]), tol=tol).verdict == "worse"
+
+
 def test_summary_commutes_with_both_linear_measures():
     rng = np.random.default_rng(137)
     for _ in range(100):
@@ -326,8 +392,8 @@ def reference_verdict(criterion, vf, vg, alpha, tol):
             return "equivalent"
         return "better" if sf > sg else "worse"
     if criterion == "min_vs_max":
-        f_ahead = min(vf) >= max(vg) - tol
-        g_ahead = min(vg) >= max(vf) - tol
+        f_ahead = min(vf) - max(vg) >= -tol
+        g_ahead = min(vg) - max(vf) >= -tol
         if f_ahead and g_ahead:
             return "equivalent"
         if f_ahead or g_ahead:
