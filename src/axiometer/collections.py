@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
+from operator import eq
 
 import numpy as np
 
@@ -345,9 +346,11 @@ def worlds_matrix(axioms: AxiomSet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON schema: {"axioms": ["a1", ...], "p": {"a1": 1.0, "a1+a2": 0.8, ...}}
 # Keys are "+"-joined axiom names, order-insensitive; every non-empty subset
-# must appear exactly once and nothing else may appear.  The capacity, family,
-# estimate and experiment readers check their document shape through the same
-# helpers.
+# must appear exactly once and nothing else may appear.  The writers list the
+# keys in mask order (bit k is axioms[k]); a map in that order is read without
+# key lookups, and any other order or spelling is read with the same checks
+# and errors.  The capacity, family, estimate and experiment readers check
+# their document shape through the same helpers.
 # ---------------------------------------------------------------------------
 
 
@@ -402,13 +405,36 @@ def _checked_items(axioms: AxiomSet, mapping: dict) -> tuple[list[int], list[flo
     return masks, values
 
 
+_ABSENT = object()
+
+
+def _canonical_values(mapping: dict, keys: list[str]) -> np.ndarray | None:
+    """Values of a map in mask order if its keys are the canonical ones, else None.
+
+    ``keys`` is :func:`subset_keys`; ``mapping`` holds ``len(keys) - 1`` items.
+    Keys in mask order, the order the writers use, are confirmed by one
+    sequential comparison and the values are then read as they stand, with no
+    key looked up.  Any other order takes one lookup per canonical key.
+    """
+    n = len(keys) - 1
+    if all(map(eq, mapping, islice(keys, 1, None))):
+        return np.fromiter(mapping.values(), np.float64, n)
+    try:
+        return np.fromiter(
+            map(mapping.get, islice(keys, 1, None), repeat(_ABSENT)), np.float64, n
+        )
+    except TypeError:  # _ABSENT is no number: a canonical key is not in the map
+        return None
+
+
 def _subset_array_from_json(
     axioms: AxiomSet, mapping: object, what: str, empty: float
 ) -> np.ndarray:
     """Dense per-subset array of a subset map, with ``empty`` at mask 0.
 
-    A map of exactly the canonical keys with float values is read in mask
-    order by looking each canonical key up in the map; any other map takes the
+    A map of exactly the canonical keys with float values is read in one pass
+    by :func:`_canonical_values`: with no key lookup when the keys come in mask
+    order, with one lookup per key otherwise.  Any other map takes the
     item-by-item path, which resolves other key spellings and reports the
     first bad item in document order.
     """
@@ -418,15 +444,12 @@ def _subset_array_from_json(
     n = len(keys) - 1
     arr = np.empty(axioms.n_masks)
     arr[0] = empty
-    if (
-        len(mapping) == n
-        and set(map(type, mapping.values())) <= {float}
-        and all(map(mapping.__contains__, islice(keys, 1, None)))
-    ):
-        # every subset given once, as a float: nothing else to check
-        arr[1:] = np.fromiter(
-            map(mapping.__getitem__, islice(keys, 1, None)), np.float64, n
-        )
+    canonical = None
+    if len(mapping) == n and set(map(type, mapping.values())) <= {float}:
+        # every value a float: nothing else to check if the keys are canonical
+        canonical = _canonical_values(mapping, keys)
+    if canonical is not None:
+        arr[1:] = canonical
     else:
         masks, values = _checked_items(axioms, mapping)
         arr[masks] = values

@@ -262,7 +262,7 @@ def family_from_json(data: dict) -> CollectionFamily:
         raise ParseError('"collections" must be a non-empty list')
     members = []
     for entry in entries:
-        if isinstance(entry, dict) and set(entry) == {"axioms", "p"}:
+        if isinstance(entry, dict) and entry.keys() == {"axioms", "p"}:
             members.append(collection_from_json(entry))
         else:
             p = _subset_array_from_json(axioms, entry, "collections[]", 1.0)

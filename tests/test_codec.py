@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,10 @@ PARSE_ERRORS = [
     ({**BASE, "": 0.1}, "bad subset key '': unknown axiom ''"),
     ({**BASE, "a1+": 0.1}, "bad subset key 'a1+': unknown axiom ''"),
     ({**BASE, "a2+a1": 0.8}, "subset {a1+a2} given twice"),
+    # the canonical length and float values, so the key-order check sees them
+    ({"a1": 1.0, "a2": 0.8, "a1+a9": 0.8}, "bad subset key 'a1+a9': unknown axiom 'a9'"),
+    ({"a1": 1.0, "a1+a1": 0.8, "a1+a2": 0.8}, "bad subset key 'a1+a1': axiom 'a1' listed twice"),
+    ({"a1": 1.0, "a2+a1": 0.8, "a1+a2": 0.8}, "subset {a1+a2} given twice"),
     ({**BASE, "a1": True}, "value for 'a1' must be a number, got True"),
     ({**BASE, "a1": "1"}, "value for 'a1' must be a number, got '1'"),
     ({**BASE, "a1": None}, "value for 'a1' must be a number, got None"),
@@ -181,6 +186,82 @@ def test_accepted_value_types(convert):
     values = {"a1": 1.0, "a2": 0.0, "a1+a2": 0.0}
     c = collection_from_json({"axioms": AB, "p": {k: convert(v) for k, v in values.items()}})
     np.testing.assert_array_equal(c.p, [1.0, 1.0, 0.0, 0.0])
+
+
+def _in_order(mapping: dict, order: str) -> dict:
+    """A mask-ordered ``mapping`` with its items in mask, sorted or shuffled order."""
+    items = list(mapping.items())
+    if order == "sorted":
+        items.sort()
+    elif order == "shuffled":
+        random.Random(5).shuffle(items)
+    again = dict(items)
+    assert (list(again) == list(mapping)) == (order == "mask")
+    return again
+
+
+@pytest.mark.parametrize("order", ["mask", "sorted", "shuffled"])
+def test_every_reader_gives_the_same_array_in_any_key_order(order):
+    axioms = AxiomSet(("a1", "a2", "a3", "a4", "a5"))
+    c = random_collection(axioms, 3)
+    doc = collection_to_json(c)
+    doc["p"] = _in_order(doc["p"], order)
+    np.testing.assert_array_equal(collection_from_json(doc).p, c.p)
+
+    u = np.random.default_rng(3).random(axioms.n_masks)
+    u[0] = 0.0
+    doc = capacity_to_json(Capacity(axioms, u))
+    doc["u"] = _in_order(doc["u"], order)
+    np.testing.assert_array_equal(capacity_from_json(doc).u, u)
+
+    fam = CollectionFamily(axioms, (c, random_collection(axioms, 4)), ("m0", "m1"))
+    doc = family_to_json(fam)
+    doc["collections"] = [_in_order(m, order) for m in doc["collections"]]
+    for a, b in zip(family_from_json(doc).members, fam.members):
+        np.testing.assert_array_equal(a.p, b.p)
+
+    battery = [AxiomSpec.builtin(t) for t in ("condorcet_consistency", "majority_winner", "pareto")]
+    est = estimate_collection(
+        VotingRule("borda"), battery, ImpartialCulture(), m=3, n=4, n_samples=700, seed=3
+    )
+    doc = estimated_to_json(est)
+    doc["stderr"] = _in_order(doc["stderr"], order)
+    np.testing.assert_array_equal(estimated_from_json(doc).stderr, est.stderr)
+
+
+class _CountingDict(dict):
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("order", ["mask", "sorted", "shuffled", "respelled"])
+def test_a_mask_ordered_map_is_read_without_key_lookups(order):
+    axioms = AxiomSet(tuple(f"a{i}" for i in range(1, 7)))
+    c = random_collection(axioms, 6)
+    p = collection_to_json(c)["p"]
+    if order == "respelled":
+        p = {("a2+a1" if k == "a1+a2" else k): v for k, v in p.items()}
+    else:
+        p = _in_order(p, order)
+    counted = _CountingDict(p)
+    np.testing.assert_array_equal(
+        collection_from_json({"axioms": list(axioms.labels), "p": counted}).p, c.p
+    )
+    if order == "mask":
+        assert counted.lookups == 0
+    else:
+        assert 0 < counted.lookups <= axioms.n_masks - 1
 
 
 def test_family_roundtrip_is_bit_exact():
