@@ -99,9 +99,10 @@ def _write(stream, text: str) -> None:
 
 
 def _emit(args, payload, table) -> None:
-    """Write ``payload`` as strict JSON, or the text built by ``table()``."""
+    """Write ``payload`` as strict JSON, keys in the order the payload lists
+    them (subset maps in mask order), or the text built by ``table()``."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         text = table()
         if not text.endswith("\n"):

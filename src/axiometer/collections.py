@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from operator import eq
 
 import numpy as np
@@ -346,11 +346,12 @@ def worlds_matrix(axioms: AxiomSet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON schema: {"axioms": ["a1", ...], "p": {"a1": 1.0, "a1+a2": 0.8, ...}}
 # Keys are "+"-joined axiom names, order-insensitive; every non-empty subset
-# must appear exactly once and nothing else may appear.  The writers list the
-# keys in mask order (bit k is axioms[k]); a map in that order is read without
-# key lookups, and any other order or spelling is read with the same checks
-# and errors.  The capacity, family, estimate and experiment readers check
-# their document shape through the same helpers.
+# must appear exactly once and nothing else may appear.  The writers, and the
+# CLI's --format json, list the keys in mask order (bit k is axioms[k]); a map
+# of floats in that order is read without key lookups, and any other order or
+# spelling is read item by item with the same checks and errors.  The
+# capacity, family, estimate and experiment readers check their document
+# shape through the same helpers.
 # ---------------------------------------------------------------------------
 
 
@@ -405,38 +406,16 @@ def _checked_items(axioms: AxiomSet, mapping: dict) -> tuple[list[int], list[flo
     return masks, values
 
 
-_ABSENT = object()
-
-
-def _canonical_values(mapping: dict, keys: list[str]) -> np.ndarray | None:
-    """Values of a map in mask order if its keys are the canonical ones, else None.
-
-    ``keys`` is :func:`subset_keys`; ``mapping`` holds ``len(keys) - 1`` items.
-    Keys in mask order, the order the writers use, are confirmed by one
-    sequential comparison and the values are then read as they stand, with no
-    key looked up.  Any other order takes one lookup per canonical key.
-    """
-    n = len(keys) - 1
-    if all(map(eq, mapping, islice(keys, 1, None))):
-        return np.fromiter(mapping.values(), np.float64, n)
-    try:
-        return np.fromiter(
-            map(mapping.get, islice(keys, 1, None), repeat(_ABSENT)), np.float64, n
-        )
-    except TypeError:  # _ABSENT is no number: a canonical key is not in the map
-        return None
-
-
 def _subset_array_from_json(
     axioms: AxiomSet, mapping: object, what: str, empty: float
 ) -> np.ndarray:
     """Dense per-subset array of a subset map, with ``empty`` at mask 0.
 
-    A map of exactly the canonical keys with float values is read in one pass
-    by :func:`_canonical_values`: with no key lookup when the keys come in mask
-    order, with one lookup per key otherwise.  Any other map takes the
-    item-by-item path, which resolves other key spellings and reports the
-    first bad item in document order.
+    A map of float values whose keys are the canonical ones in mask order,
+    the order the writers use, is confirmed by one sequential comparison of
+    its keys and read as it stands, with no key looked up.  Any other map
+    takes the item-by-item path, which resolves other orders and spellings
+    of the keys and reports the first bad item in document order.
     """
     if not isinstance(mapping, dict):
         raise ParseError(f'"{what}" must be an object keyed by subsets')
@@ -444,12 +423,13 @@ def _subset_array_from_json(
     n = len(keys) - 1
     arr = np.empty(axioms.n_masks)
     arr[0] = empty
-    canonical = None
-    if len(mapping) == n and set(map(type, mapping.values())) <= {float}:
-        # every value a float: nothing else to check if the keys are canonical
-        canonical = _canonical_values(mapping, keys)
-    if canonical is not None:
-        arr[1:] = canonical
+    if (
+        len(mapping) == n
+        and all(map(eq, mapping, islice(keys, 1, None)))
+        # every value a float: nothing else to check once the keys are canonical
+        and set(map(type, mapping.values())) <= {float}
+    ):
+        arr[1:] = np.fromiter(mapping.values(), np.float64, n)
     else:
         masks, values = _checked_items(axioms, mapping)
         arr[masks] = values

@@ -11,11 +11,13 @@ u[S] * weight[S]" and differing only in the weights:
 * ``min_diff`` — weights are p[S] minus the best strict-superset probability.
 
 All three require a feasible collection: evaluating on an inconsistent p
-would silently weight the capacity by negative "probabilities".
+would silently weight the capacity by negative "probabilities".  A value
+that overflows the float range raises RangeError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -51,7 +53,10 @@ def _check_pair(cap: Capacity, c: Collection) -> None:
 def _result(cap: Capacity, weights: np.ndarray, measure: str) -> PerformanceResult:
     weights = weights.copy()
     weights[0] = 0.0
-    value = float(np.dot(cap.u[1:], weights[1:]))
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+        value = float(np.dot(cap.u[1:], weights[1:]))
+    if not math.isfinite(value):
+        raise RangeError(f"{measure} value overflows: sum of u[S] * weight[S] is {value}")
     weights.setflags(write=False)
     return PerformanceResult(value=value, weights=weights, measure=measure, axioms=cap.axioms)
 

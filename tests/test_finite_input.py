@@ -19,7 +19,10 @@ from axiometer import (
     ParseError,
     RangeError,
     WeightError,
+    capacity_to_json,
+    collection_to_json,
     evaluate,
+    family_to_json,
     frechet_check,
     is_member,
     perf_min_diff,
@@ -192,3 +195,45 @@ def test_emit_refuses_non_finite_json(capsys):
     with pytest.raises(ValueError):
         _emit(args, {"total": float("nan")}, lambda: "")
     assert capsys.readouterr().out == ""
+
+
+#: p[S] = 0.5**|S|: feasible, with min_diff weights 0.25, 0.125 and 0.125 by size.
+HALVING_P = tuple(0.5 ** bin(mask).count("1") for mask in range(8))
+#: Each overflows its measure: weighted_sum adds seven u[S] of 1e308, and
+#: min_diff's weights sum to 1.25, so 1.7e308 * 1.25 is past the largest float.
+OVERFLOWS = [
+    ("weighted_sum", 1e308, np.ones(8)),
+    ("min_diff", 1.7e308, HALVING_P),
+]
+
+
+def huge_capacity(u: float) -> Capacity:
+    values = np.full(8, u)
+    values[0] = 0.0
+    return Capacity(ABC, values)
+
+
+@pytest.mark.parametrize("measure, u, p", OVERFLOWS)
+def test_a_measure_that_overflows_raises(measure, u, p):
+    with pytest.raises(RangeError, match=f"{measure} value overflows"):
+        evaluate(huge_capacity(u), Collection(ABC, p), measure)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("command", ["perf", "compare"])
+@pytest.mark.parametrize("measure, u, p", OVERFLOWS)
+def test_cli_reports_an_overflowing_measure(measure, u, p, command, fmt, tmp_path, capsys):
+    cap = tmp_path / "cap.json"
+    cap.write_text(json.dumps(capacity_to_json(huge_capacity(u))))
+    c = Collection(ABC, p)
+    if command == "perf":
+        doc, inputs = collection_to_json(c), ["c.json"]
+    else:
+        doc, inputs = family_to_json(CollectionFamily(ABC, (c,), ("m",))), ["f.json"] * 2
+    (tmp_path / inputs[0]).write_text(json.dumps(doc))
+    argv = [command, str(cap), *(str(tmp_path / f) for f in inputs), "--measure", measure]
+    argv += ["--format", fmt]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {measure} value overflows: sum of u[S] * weight[S] is inf\n"
