@@ -146,22 +146,45 @@ def _check_tol(tol: float) -> None:
         raise RangeError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
+#: Screening margin of the lower-bound scan in ``_frechet_violations``.
+#: Every operand lies in [0, 1], so in (sub - c) - with_b and in
+#: (sub - with_b) - c the first rounding errs by at most u = 2**-53 (its result
+#: lies in [-1, 1]) and the second by at most 2u (in [-2, 1]): the two orders
+#: differ by at most 6u = 3 eps per entry (Higham 2002, ch. 2), and 16 eps,
+#: less the rounding of tol - margin (below u for tol < 1), exceeds that.  For
+#: tol >= 1 neither order can exceed tol, so no bit is hit either way.
+_FRECHET_MARGIN = 16 * np.finfo(float).eps
+
+
 def _frechet_violations(c: Collection, tol: float) -> list[FrechetViolation]:
     # A blocked scan finds the bits with any slack above tol (max is exact and
     # p is finite); only those bits are then extracted on the whole array.
+    # Each bit of each block takes one difference, drop = sub - with_b.  The
+    # monotonicity slack with_b - sub is exactly -drop, since IEEE subtraction
+    # is antisymmetric.  The lower-bound slack (sub - c) - with_b, c = 1 - p[a],
+    # is screened by drop.max() - c, which is the largest (sub - with_b) - c
+    # because rounding is monotone; only a block that comes within
+    # _FRECHET_MARGIN of tol recomputes it in the order the extraction uses,
+    # so the hit bits are exactly those of the plain per-bit loop.  At S = {a}
+    # the screened value is exactly 0 (sub = 1, c = 1 - with_b), so at tol = 0
+    # the block holding S = {a} is recomputed for every bit, and with it every
+    # high bit's whole array: there the scan still takes three differences.
     p = c.p
     scratch = np.empty(p.shape[0] // 2)
+    near_tol = tol - _FRECHET_MARGIN
     hit_bits: set[int] = set()
     for b, sub, with_b in _pairs(p):
         if b in hit_bits:
             continue
-        slack = scratch[: sub.size].reshape(sub.shape)
-        if np.subtract(with_b, sub, out=slack).max() > tol:
+        drop = np.subtract(sub, with_b, out=scratch[: sub.size].reshape(sub.shape))
+        if -drop.min() > tol:
             hit_bits.add(b)
             continue
-        np.subtract(sub, 1.0 - p[1 << b], out=slack)
-        if np.subtract(slack, with_b, out=slack).max() > tol:
-            hit_bits.add(b)
+        c_b = 1.0 - p[1 << b]
+        if drop.max() - c_b > near_tol:
+            np.subtract(sub, c_b, out=drop)
+            if np.subtract(drop, with_b, out=drop).max() > tol:
+                hit_bits.add(b)
     if not hit_bits:
         return []
     masks = np.arange(c.axioms.n_masks)

@@ -20,7 +20,15 @@ addition, and every comparison is exact equality.  Banzhaf is also pinned
 under == to the per-bit loop that gathered its weights per bit, at
 J = 1..20 on one Dirichlet collection per J and at J <= 8 on the
 collections above.
+
+The Fréchet scan screens the lower bound in the order (sub - with_b) - c
+and recomputes it in the extraction's order (sub - c) - with_b only near
+tol.  Slacks that the two orders round to opposite sides of tol are planted
+at a low and at a high bit at J = 3, 11 and 20, and the scan's peak
+allocation is bounded by its scratch buffer and one transposed block.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,7 +153,9 @@ def test_pairs_writes_back_only_into_writeable_arrays(j, writeable, block_bytes,
 
 
 @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
-@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.01])
+# No slack of a collection can exceed 1; at 1e300 the screening margin is
+# also lost in the rounding of tol - margin
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.01, 1.0, 1e300])
 @pytest.mark.parametrize("j", SIZES)
 def test_frechet_violations_match_per_pair_loop(j, tol, block_bytes, monkeypatch):
     monkeypatch.setattr(lattice, "SWEEP_BLOCK_BYTES", block_bytes)
@@ -158,7 +168,7 @@ def test_frechet_violations_match_per_pair_loop(j, tol, block_bytes, monkeypatch
         report = is_member(c, tol)
         if not report.feasible:
             assert report.frechet_violations == violations
-    assert found > 0 or j == 1
+    assert found == 0 if tol >= 1.0 else found > 0 or j == 1
 
 
 @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
@@ -243,6 +253,119 @@ def test_blocked_frechet_violations_match_per_bit_loop(j, block_bytes, monkeypat
             assert {v.kind for v in violations} == kinds
         else:
             assert violations == ()
+
+
+def boundary_triples(tol: float) -> dict[bool, list[tuple[float, float, float]]]:
+    """Triples (sub, with_b, p_a) on which the lower-bound slack in the
+    extraction's order, (sub - c) - with_b with c = 1 - p_a, and in the
+    screen's order, (sub - with_b) - c, fall on opposite sides of tol: under
+    True up to two where the extraction's order exceeds tol, under False up to
+    two where the screen's does, each from its own draw.
+
+    The search draws c = 1 - p_a on a log scale below 1/2, with_b up to about
+    2c and sub = c + with_b + tol <= 1/2, then moves sub and with_b by up to
+    two ulps each.  As p_a >= 1/2, c is a multiple of 2**-53, so near tol
+    sub - c is exact and the extraction's order rounds the slack once; the
+    screen's order can then exceed tol only where sub - with_b rounds up past
+    a tol that lies off its grid, which of 0, 1e-9 and 0.125 only 1e-9 does.
+    """
+    rng = np.random.default_rng(1100)
+    n = 1 << 12
+    p_a = 1.0 - rng.uniform(0.5, 1.0, n) * 2.0 ** -rng.integers(1, 12, n)
+    c = 1.0 - p_a
+    with_b = c * rng.uniform(0.0, 2.0, n) * 2.0 ** -rng.integers(0, 3, n)
+    sub = c + with_b + tol
+    ulps = np.arange(-2, 3)
+    sub = sub[:, None, None] + ulps[:, None] * np.spacing(sub)[:, None, None]
+    with_b = with_b[:, None, None] + ulps * np.spacing(with_b)[:, None, None]
+    sub, with_b = (x.ravel() for x in np.broadcast_arrays(sub, with_b))
+    p_a, c = (np.repeat(x, ulps.size**2) for x in (p_a, c))
+    inside = (sub <= 0.5) & (with_b >= 0.0)
+    extraction = (sub - c) - with_b
+    screen = (sub - with_b) - c
+    found = {}
+    for way, hit in ((True, (extraction > tol) & (screen <= tol)),
+                     (False, (screen > tol) & (extraction <= tol))):
+        idx = np.flatnonzero(inside & hit)
+        first = np.unique(idx // ulps.size**2, return_index=True)[1]
+        found[way] = [(sub[i], with_b[i], p_a[i]) for i in idx[np.sort(first)[:2]]]
+    return found
+
+
+def planted_collection(j: int, bit: int, triple: tuple[float, float, float]) -> Collection:
+    """Axiom a = ``bit`` independent of the others, which are exclusive, axiom
+    k holding with probability 2**-(k + 2); then p[{e}] = sub and
+    p[{e, a}] = with_b, e the axiom at the other end of the bits.
+
+    Away from the plant every lower-bound slack of bit a is
+    -(1 - p[S - a]) c, which is exactly 0 at S = {a} and -3c/4 or less
+    elsewhere, and every monotonicity slack of bit a is 0 or negative, so the
+    plant alone decides whether bit a is hit.  The contribution at the empty
+    set is -tol - c times the sum of 2**-(k + 2) over the axioms other than a
+    and e, so from J = 3 on the collection is infeasible.
+    """
+    sub, with_b, p_a = triple
+    axioms = axioms_of(j)
+    masks = np.arange(axioms.n_masks)
+    others = masks & ~(1 << bit)
+    single = 0.25 / np.maximum(others, 1)  # 2**-(k + 2) at others = 2**k
+    p = np.where(others == 0, 1.0, np.where(popcounts(j)[others] == 1, single, 0.0))
+    p *= np.where(masks >> bit & 1, p_a, 1.0)
+    end = 1 << (0 if bit == j - 1 else j - 1)
+    p[end] = sub
+    p[end | 1 << bit] = with_b
+    return Collection(axioms=axioms, p=p)
+
+
+# The screen reads (sub - with_b) - c where the extraction reads
+# (sub - c) - with_b, and near tol the two can round to opposite sides of it.
+# Planted at a low (blocked) bit, the pair lies in the last blocks; at a high
+# bit, in the first.  A bit the screen skipped would lose its violation; a bit
+# it passes in vain is recomputed, and its extraction would come out empty.
+@pytest.mark.parametrize("block_bytes", [lattice.SWEEP_BLOCK_BYTES, 8])  # 8: one-row blocks
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.125])
+@pytest.mark.parametrize("j", [3, 11, 20])
+def test_frechet_rounding_boundary_slacks(j, tol, block_bytes, monkeypatch):
+    monkeypatch.setattr(lattice, "SWEEP_BLOCK_BYTES", block_bytes)
+    triples = boundary_triples(tol)
+    assert len(triples[True]) == 2 and len(triples[False]) == (2 if tol == 1e-9 else 0)
+    for bit in (0, j - 1):
+        label = f"a{bit}"
+        for extraction_exceeds, found in triples.items():
+            for triple in found:
+                c = planted_collection(j, bit, triple)
+                violations = frechet_check(c, tol).frechet_violations
+                assert list(violations) == per_bit_frechet_violations(c, tol)
+                if j <= 8:
+                    got = [(v.subset, v.kind, v.axiom, v.slack) for v in violations]
+                    assert got == naive_frechet_violations(c.p, c.axioms.labels, tol)
+                planted = (1 << (0 if bit == j - 1 else j - 1)) | 1 << bit
+                want = [(planted, "lower_bound")] if extraction_exceeds else []
+                assert [(v.subset, v.kind) for v in violations if v.axiom == label] == want
+                report = is_member(c, tol)
+                assert report.feasible is False
+                assert report.frechet_violations == violations
+
+
+def test_frechet_scan_allocates_no_per_bit_temporary():
+    """The scan's peak is its half-size scratch, one transposed block of
+    ``lattice._pairs`` and the two ufunc buffers that numpy's strided loops
+    fill: a temporary of one bit's pairs would add half of p."""
+    j = 16
+    c = random_dyadic_feasible(np.random.default_rng(1200), axioms_of(j))
+    half = c.p.nbytes // 2
+    # the default block holds the whole 2**8 x 2**8 view at J = 16
+    block = min(c.p.nbytes, lattice.SWEEP_BLOCK_BYTES)
+    buffers = 2 * np.getbufsize() * c.p.itemsize
+    tracemalloc.start()
+    try:
+        report = frechet_check(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.frechet_violations == ()
+    assert peak < half + block + buffers + 32 * 2**10, (peak, half, block, buffers)
+    assert buffers + 32 * 2**10 < half
 
 
 def stepped_capacity(j: int, special: tuple[int, ...], step: float) -> Capacity:
