@@ -85,35 +85,64 @@ def _load_collection(path: str) -> Collection:
     return collection_from_json(data)
 
 
-def _write(stream, text: str) -> None:
-    """Write ``text`` to ``stream`` as UTF-8, as ``--out`` files are, whatever
-    the locale's encoding; a stream with no byte buffer (a StringIO) takes
-    the text as it is."""
+def _write(stream, parts) -> None:
+    """Write ``parts`` in order to ``stream`` as UTF-8, whatever the locale's
+    encoding, and flush once; a stream with no byte buffer (a StringIO)
+    takes the text as it is."""
     buffer = getattr(stream, "buffer", None)
     if buffer is None:
-        stream.write(text)
+        stream.writelines(parts)
         return
     stream.flush()
-    buffer.write(text.encode("utf-8"))
+    buffer.writelines(part.encode("utf-8") for part in parts)
     buffer.flush()
+
+
+_ENCODE = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json_parts(obj, parts: list, pad: str = "") -> list:
+    """Append the text of ``json.dumps(obj, indent=2, allow_nan=False)`` to
+    ``parts``, in parts; dict keys must be ``str``.  Any ``indent`` sends
+    ``json.dumps`` through the pure-Python encoder, so this walks dicts and
+    lists itself and C-encodes each dict of exact floats (every subset map)
+    in one call, braces re-padded."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj and all(type(v) is float for v in obj.values()):
+        text = json.JSONEncoder(separators=(",\n" + inner, ": "), allow_nan=False).encode(obj)
+        parts += "{\n" + inner, text[1:-1], "\n" + pad + "}"
+    elif isinstance(obj, (dict, list, tuple)) and obj:
+        keyed = isinstance(obj, dict)
+        sep = ("{" if keyed else "[") + "\n" + inner
+        for key, value in obj.items() if keyed else enumerate(obj):
+            parts.append(sep + _ENCODE(key) + ": " if keyed else sep)
+            _json_parts(value, parts, inner)
+            sep = ",\n" + inner
+        parts.append("\n" + pad + ("}" if keyed else "]"))
+    else:
+        parts.append(_ENCODE(obj))  # a scalar, {} or []
+    return parts
 
 
 def _emit(args, payload, table) -> None:
     """Write ``payload`` as strict JSON, keys in the order the payload lists
-    them (subset maps in mask order), or the text built by ``table()``."""
+    them (subset maps in mask order), or the text built by ``table()``.
+    Every part is built before ``--out`` is opened, so a non-finite value
+    raises before anything is written."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        parts = _json_parts(payload, [])
+        parts.append("\n")
     else:
         text = table()
-        if not text.endswith("\n"):
-            text += "\n"
+        parts = [text if text.endswith("\n") else text + "\n"]
     if args.out:
         try:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as out:
+                _write(out, parts)
         except OSError as exc:
             raise ParseError(f"cannot write {args.out}: {exc}") from exc
     else:
-        _write(sys.stdout, text)
+        _write(sys.stdout, parts)
 
 
 def _report_payload(report: FeasibilityReport, collection: Collection) -> dict:
@@ -386,14 +415,14 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except SizeError as exc:
-        _write(sys.stderr, f"error: {exc}\n")
+        _write(sys.stderr, [f"error: {exc}\n"])
         return EXIT_SIZE
     except InfeasibleCollectionError as exc:
         report = "" if exc.report is None else _report_table(exc.report, exc.axioms) + "\n"
-        _write(sys.stderr, f"error: {exc}\n{report}")
+        _write(sys.stderr, [f"error: {exc}\n{report}"])
         return EXIT_INFEASIBLE
     except AxiometerError as exc:
-        _write(sys.stderr, f"error: {exc}\n")
+        _write(sys.stderr, [f"error: {exc}\n"])
         return EXIT_PARSE
 
 

@@ -84,6 +84,8 @@ class EvaluatedProfiles:
 
     @cached_property
     def winners(self) -> np.ndarray:
+        if self.rule.name == "copeland":  # the Copeland predicates reuse its scores
+            return np.argmax(self.copeland, axis=1)
         return winners_from_counts(self.rule, self.counts, self.space, self.table)
 
     @cached_property

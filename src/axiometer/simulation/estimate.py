@@ -58,6 +58,14 @@ ENUMERATION_GUARD = 10**8
 #: enough to stay in cache and to reuse the same heap pages block after block.
 CHUNK_TUPLES = 1 << 12
 
+# glibc hands freed heap above its trim threshold back to the system.  It
+# raises that threshold (to twice its mmap threshold) only when it frees an
+# mmapped block larger than the mmap threshold.  Until a process has freed
+# one, a small experiment's blocks (about 1 MB each at m = 3) are trimmed and
+# page-faulted again block after block, a third of a small simulate's time.
+# One 4 MB array, mmapped and freed untouched here, raises both thresholds.
+np.empty(1 << 19)
+
 #: Most tuples one estimate may draw: its subset counts are p * N in float64,
 #: exact only up to 2**53.
 MAX_SAMPLES = 2**53

@@ -295,6 +295,34 @@ class TestPredicatesAtWinner:
                 assert got.dtype == bool and got.shape == (0,), predicate
 
 
+    def test_copeland_block_scores_once(self, monkeypatch):
+        # the winners and both Condorcet predicates read one Copeland score array
+        from axiometer.simulation import axioms as axioms_module
+        from axiometer.simulation import rules as rules_module
+        from axiometer.simulation.rules import rule_scores, winners_from_counts
+
+        m, n, rows = 4, 15, 4096
+        rng = np.random.default_rng(415)
+        rankings = Mallows(0.8, tuple(range(m))).sample(rng, m, (rows, n))
+        calls = []
+        for module in (axioms_module, rules_module):
+            monkeypatch.setattr(
+                module, "rule_scores", lambda tag, *a: calls.append(tag) or rule_scores(tag, *a)
+            )
+        ev = EvaluatedProfiles(RULES["copeland"], rankings, m, n)
+        got = {p: punctual_batch(p, ev) for p in ("condorcet_consistency", "condorcet_loser_avoidance")}
+        assert calls == ["copeland"]
+        monkeypatch.undo()
+        generic = winners_from_counts(RULES["copeland"], ev.counts, ev.space)
+        assert ev.winners.tolist() == generic.tolist()
+        orders = perm_space(m).perms[rankings[:256]].tolist()
+        winners = [naive_winner("copeland", o) for o in orders]
+        assert ev.winners[:256].tolist() == winners
+        for predicate, truth in got.items():
+            expected = [naive_predicate(predicate, o, w) for o, w in zip(orders, winners)]
+            assert truth[:256].tolist() == expected, predicate
+
+
 class TestScoreTable:
     """Each row of ``perm_space(m).scores`` against a scalar build from the
     ranking it stands for."""

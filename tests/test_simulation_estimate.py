@@ -4,9 +4,13 @@ import functools
 import itertools
 import json
 import math
+import platform
+import subprocess
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +200,26 @@ class TestEstimate:
                 tracemalloc.stop()
         assert max(peaks) < 16 * 2**20, peaks
         assert max(peaks) <= 1.1 * min(peaks), peaks
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's trim threshold")
+    def test_small_blocks_reuse_their_heap_pages(self):
+        # a fresh interpreter, as a CLI run has: the 25 blocks of N = 1e5 at m = 3
+        # must not page-fault their arrays anew each time (about 6,000 faults)
+        code = (
+            "import resource\n"
+            "from axiometer.simulation import AxiomSpec, ImpartialCulture, VotingRule, estimate_collection\n"
+            "axioms = [AxiomSpec.builtin(t) for t in "
+            "('condorcet_consistency', 'majority_winner', 'strategyproof_pair')]\n"
+            "args = (VotingRule('plurality'), axioms, ImpartialCulture(), 3, 3, 100_000, 42)\n"
+            "estimate_collection(*args)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "estimate_collection(*args)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={"PYTHONPATH": str(src)})
+        assert int(run.stdout) < 1000, run.stdout
 
     def test_bad_sample_count(self):
         # beyond 2**53 the subset counts are inexact; refused before any draw
