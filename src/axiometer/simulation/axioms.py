@@ -97,37 +97,23 @@ class EvaluatedProfiles:
     def copeland(self) -> np.ndarray:
         return rule_scores("copeland", self.table, self.space)
 
-    def deviations(self) -> tuple[np.ndarray, np.ndarray, EvaluatedProfiles, EvaluatedProfiles]:
-        """Row-aligned batches of every one-voter deviation of every profile.
-
-        For each row i, each ranking r held in row i and each r' != r, the
-        second profile switches the first voter of row i holding r to r'.
-        Returns ``(row, before, first, second)``: i, r and the pair batches
-        of ``pairs``.
-        """
-        fact = self.space.count
-        row, before = np.nonzero(self.counts)
-        voter = np.argmax(self.rankings[row] == before[:, None], axis=1)
-        row, before, voter = (np.repeat(a, fact - 1) for a in (row, before, voter))
-        after = (before + np.tile(np.arange(1, fact), row.size // (fact - 1))) % fact
-        return (row, before, *self.pairs(row, voter, after))
-
-    def pairs(
-        self, row: np.ndarray, voter: np.ndarray, after: np.ndarray
-    ) -> tuple[EvaluatedProfiles, EvaluatedProfiles]:
+    def pairs(self, row: np.ndarray, voter: np.ndarray, after: np.ndarray,
+              counts: np.ndarray | None = None) -> tuple[EvaluatedProfiles, EvaluatedProfiles]:
         """Row-aligned batches of the pairs (profile ``row``, its ``voter`` switched to ``after``).
 
         Every ``after`` must differ from the ranking it replaces.  The first
         batch carries the winners of ``row`` and the second its counts
-        c - e_before + e_after, so neither batch recounts its ballots.
+        c - e_before + e_after (``counts``, when the caller has them), so
+        neither batch recounts its ballots.
         """
         first = EvaluatedProfiles(self.rule, self.rankings[row], self.m, self.n)
         first.winners = self.winners[row]
         second = EvaluatedProfiles(self.rule, first.rankings.copy(), self.m, self.n)
         pair = np.arange(row.size)
-        counts = self.counts[row]
-        counts[pair, first.rankings[pair, voter]] -= 1.0
-        counts[pair, after] += 1.0
+        if counts is None:
+            counts = self.counts[row]
+            counts[pair, first.rankings[pair, voter]] -= 1.0
+            counts[pair, after] += 1.0
         second.rankings[pair, voter] = after
         second.counts = counts
         return first, second

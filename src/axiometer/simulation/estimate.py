@@ -15,6 +15,10 @@ weighted row per class, plus one per one-voter deviation of a class when an
 axiom is relational.  Under impartial culture the row weights are tuple
 counts, so every probability is an exact tuple-count ratio, correctly
 rounded, while the counts stay below 2**53.
+
+The blocks come from rule-free sources, ``_drawn`` (Monte Carlo) and
+``_classes`` (exact), and ``_rule_worlds`` alone scores a block under a rule,
+so ``dominance_check`` scores both of its rules on one class walk.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .axioms import (
     relational_batch,
 )
 from .preferences import ImpartialCulture, Mallows, check_problem_size
-from .rules import RULE_TAGS, VotingRule
+from .rules import RULE_TAGS, VotingRule, ranking_counts
 
 #: Hard cap on the rows evaluated by exact enumeration: C(n + m! - 1, n) count
 #: classes, times 1 + min(n, m!) * (m! - 1) when an axiom is relational.
@@ -112,62 +116,54 @@ def _battery(axioms: Sequence[AxiomSpec]) -> tuple[AxiomSet, int]:
     return axiom_set, max(ax.arity for ax in axioms)
 
 
-def _punctual_worlds(
-    axioms: Sequence[AxiomSpec], ev: EvaluatedProfiles, worlds: np.ndarray
+def _rule_worlds(
+    rule: VotingRule, axioms: Sequence[AxiomSpec], m: int, n: int,
+    rankings: np.ndarray, counts: np.ndarray | None, pairs: tuple | None,
 ) -> np.ndarray:
-    """OR the bits of the punctual axioms on every profile of ``ev`` into ``worlds``."""
+    """Worlds of a (B, n) block of first profiles, then of its pairs, under ``rule``.
+
+    ``counts`` are the block's ballot counts (None counts them here), and
+    ``pairs`` the arguments of ``EvaluatedProfiles.pairs`` for the one-voter
+    deviations, the only pairs a relational axiom can fail on (None without
+    one).  The first B worlds carry each profile's punctual bits and every
+    relational bit, since an unrelated pair holds vacuously; the next len(row)
+    carry the punctual bits of a pair's first profile and the pair's own.
+    """
+    ev = EvaluatedProfiles(rule, rankings, m, n)
+    if counts is not None:
+        ev.counts = counts
+    b = len(rankings)
+    worlds = np.zeros(b + (0 if pairs is None else len(pairs[0])), dtype=np.int64)
     for bit, ax in enumerate(axioms):
         if ax.kind == "punctual":
-            worlds |= punctual_batch(ax.predicate, ev).astype(np.int64) << bit
-    return worlds
-
-
-def _relational_worlds(
-    axioms: Sequence[AxiomSpec],
-    ev1: EvaluatedProfiles,
-    ev2: EvaluatedProfiles,
-    worlds: np.ndarray,
-) -> np.ndarray:
-    """OR the bits of the relational axioms on every row-aligned pair into ``worlds``."""
+            worlds[:b] |= punctual_batch(ax.predicate, ev).astype(np.int64) << bit
+    if pairs is None:
+        return worlds
+    first, second = ev.pairs(*pairs)
+    worlds[b:] = worlds[pairs[0]]
     for bit, ax in enumerate(axioms):
         if ax.kind == "relational":
-            worlds |= relational_batch(ax.predicate, ev1, ev2).astype(np.int64) << bit
+            worlds[:b] |= 1 << bit
+            worlds[b:] |= relational_batch(ax.predicate, first, second).astype(np.int64) << bit
     return worlds
 
 
-def _relational_mask(axioms: Sequence[AxiomSpec]) -> int:
-    """The bits of the relational axioms, all set on a tuple whose pair is unrelated."""
-    return sum(1 << b for b, ax in enumerate(axioms) if ax.kind == "relational")
-
-
-def _worlds(
-    rule: VotingRule,
-    axioms: Sequence[AxiomSpec],
-    rankings: np.ndarray,
-    m: int,
-    n: int,
-) -> np.ndarray:
-    """World mask for every tuple of a (B, K, n) ranking array.
+def _drawn(rankings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one-voter pairs of a (B, K, n) draw, as ``(row, voter, after)``.
 
     A relational axiom holds vacuously unless exactly one voter differs
-    between the first and the last profile, so only those rows are scored
-    as pairs, and their second profile from the first one's counts.
+    between the first and the last profile of a tuple: ``row`` lists those
+    tuples, ``voter`` that voter and ``after`` its ranking in the last one.
     """
-    first = EvaluatedProfiles(rule, rankings[:, 0, :], m, n)
-    worlds = _punctual_worlds(axioms, first, np.zeros(rankings.shape[0], dtype=np.int64))
-    relational = _relational_mask(axioms)
-    if not relational:  # K = 1: there is no second profile
-        return worlds
-    last = rankings[:, -1, :]
-    differs = first.rankings != last
+    first, last = rankings[:, 0, :], rankings[:, -1, :]
+    differs = first != last
     row = np.flatnonzero(differs.sum(axis=1) == 1)
     voter = np.argmax(differs[row], axis=1)
-    pair_worlds = _relational_worlds(
-        axioms, *first.pairs(row, voter, last[row, voter]), worlds[row]
-    )
-    worlds |= relational
-    worlds[row] = pair_worlds
-    return worlds
+    return row, voter, last[row, voter]
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def estimate_collection(
@@ -183,13 +179,16 @@ def estimate_collection(
 
     Draws ``n_samples`` i.i.d. tuples of profiles from ``sampler`` in blocks
     of at most ``CHUNK_TUPLES`` tuples, computes each tuple's world, and reads
-    the subset probabilities off the world counts.  Memory is bounded by one
+    the subset probabilities off the world counts.  A tuple whose pair is a
+    one-voter deviation takes its pair's world.  Memory is bounded by one
     block, not by ``n_samples``.  Deterministic given ``seed``; the block
     size changes neither the draws nor the result.
     """
     check_problem_size(m, n)
-    if not 1 <= n_samples <= MAX_SAMPLES:
-        raise RangeError(f"sample count must be >= 1 and <= 2**53, got {n_samples}")
+    if not _is_integer(n_samples) or not 1 <= n_samples <= MAX_SAMPLES:
+        raise RangeError(f"sample count must be an integer >= 1 and <= 2**53, got {n_samples!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise RangeError(f"seed must be an integer >= 0, got {seed!r}")
     axiom_set, tuple_width = _battery(axioms)
     sampler.ranking_pmf(m)  # validates sampler/m compatibility up front
     rng = np.random.default_rng(seed)
@@ -197,8 +196,11 @@ def estimate_collection(
     for start in range(0, n_samples, CHUNK_TUPLES):
         block = min(CHUNK_TUPLES, n_samples - start)
         rankings = sampler.sample(rng, m, (block, tuple_width, n))
-        worlds = _worlds(rule, axioms, rankings, m, n)
-        world_counts += np.bincount(worlds, minlength=axiom_set.n_masks)
+        pairs = _drawn(rankings) if tuple_width > 1 else None
+        worlds = _rule_worlds(rule, axioms, m, n, rankings[:, 0, :], None, pairs)
+        if pairs is not None:
+            worlds[pairs[0]] = worlds[block:]
+        world_counts += np.bincount(worlds[:block], minlength=axiom_set.n_masks)
     subset_counts = np.rint(zeta_superset(world_counts.astype(np.float64))).astype(
         np.int64
     )
@@ -232,46 +234,52 @@ def _guard(m: int, n: int, tuple_width: int) -> None:
         )
 
 
-def _exact_worlds(rule: VotingRule, axioms: Sequence[AxiomSpec], m: int, n: int, pmf: np.ndarray):
-    """Yield ``(worlds, weights)`` blocks whose weighted rows cover every tuple once.
+def _classes(m: int, n: int, pmf: np.ndarray, relational: bool):
+    """Yield rule-free ``(reps, counts, pairs, weights)`` blocks whose rows cover every tuple once.
 
     Rules and predicates read a profile only through its ballot counts c, and
     a pair only through c and its one deviating voter.  So one row, the
-    sorted profile of c, stands for the class c, weighted by multinomial(n; c)
-    * W(c) with W(c) = prod pmf**c.  With a relational axiom, each one-voter
-    deviation r -> r' adds a row weighted multinomial * c_r * W(c) * W(c'),
-    and the class row keeps the rest of the mass with every relational bit
-    set (unrelated pairs hold vacuously).  The pmf is scaled to a maximum of
-    1, so a uniform pmf weighs rows by exact tuple counts.
+    sorted profile ``reps`` of c, stands for the class c, weighted by
+    multinomial(n; c) * W(c) with W(c) = prod pmf**c.  With a relational
+    axiom, ``pairs`` is ``(row, voter, after, counts of c')`` for every
+    one-voter deviation r -> r', each weighted multinomial * c_r * W(c) * W(c'),
+    and the class row keeps the rest of the mass.  The pmf is scaled to a
+    maximum of 1, so a uniform pmf weighs rows by exact tuple counts.
     """
     fact = math.factorial(m)
-    relational = _relational_mask(axioms)
     scale = pmf / pmf.max()
     second_mass = scale.sum() ** n
     binom = np.array([[math.comb(s, k) for k in range(n + 1)] for s in range(n + 1)], dtype=float)
     classes = itertools.combinations_with_replacement(range(fact), n)
-    per_block = max(1, CHUNK_TUPLES // _class_rows(fact, n, relational > 0))
+    per_block = max(1, CHUNK_TUPLES // _class_rows(fact, n, relational))
     while True:
         block = itertools.chain.from_iterable(itertools.islice(classes, per_block))
         reps = np.fromiter(block, dtype=np.int64).reshape(-1, n)
         if not len(reps):
             return
-        ev = EvaluatedProfiles(rule, reps, m, n)
-        counts = ev.counts.astype(np.int64)
+        counts = ranking_counts(reps, m)
+        whole = counts.astype(np.int64)
+        upto = np.cumsum(whole, axis=1)
         # each binomial is an exact float, so the product is exact below 2**53
-        multinomial = binom[np.cumsum(counts, axis=1), counts].prod(axis=1)
-        mass = multinomial * (scale**ev.counts).prod(axis=1)
-        worlds = _punctual_worlds(axioms, ev, np.zeros(len(reps), dtype=np.int64))
+        mass = binom[upto, whole].prod(axis=1) * (scale**counts).prod(axis=1)
         if not relational:
-            yield worlds, mass
+            yield reps, counts, None, mass
             continue
-        row, before, first, second = ev.deviations()
+        row, before = np.nonzero(counts)
+        # a representative is sorted, so the first voter holding r follows
+        # the voters holding rankings below r
+        voter = (upto - whole)[row, before]
+        row, before, voter = (np.repeat(a, fact - 1) for a in (row, before, voter))
+        after = (before + np.tile(np.arange(1, fact), row.size // (fact - 1))) % fact
+        second = counts[row]
+        pair = np.arange(row.size)
+        second[pair, before] -= 1.0
+        second[pair, after] += 1.0
         # W(c') from the counts of c', not as W(c) * pmf[r'] / pmf[r], which
         # is 0/0 where pmf[r] underflows to 0
-        deviation = mass[row] * ev.counts[row, before] * (scale**second.counts).prod(axis=1)
-        rest = mass * second_mass - np.bincount(row, deviation, minlength=len(reps))
-        pair_worlds = _relational_worlds(axioms, first, second, worlds[row])
-        yield np.concatenate([worlds | relational, pair_worlds]), np.concatenate([rest, deviation])
+        weight = mass[row] * counts[row, before] * (scale**second).prod(axis=1)
+        rest = mass * second_mass - np.bincount(row, weight, minlength=len(reps))
+        yield reps, counts, (row, voter, after, second), np.concatenate([rest, weight])
 
 
 def enumerate_collection(
@@ -284,14 +292,15 @@ def enumerate_collection(
     """Exact collection by weighted sweep over every tuple of profiles.
 
     The sampler (impartial culture by default) only contributes the weights of
-    the count-class rows (see ``_exact_worlds``).  Guarded by ``ENUMERATION_GUARD``.
+    the count-class rows (see ``_classes``).  Guarded by ``ENUMERATION_GUARD``.
     """
     check_problem_size(m, n)
     axiom_set, tuple_width = _battery(axioms)
     _guard(m, n, tuple_width)
     pmf = (sampler if sampler is not None else ImpartialCulture()).ranking_pmf(m)
     weighted = np.zeros(axiom_set.n_masks)
-    for worlds, weights in _exact_worlds(rule, axioms, m, n, pmf):
+    for reps, counts, pairs, weights in _classes(m, n, pmf, tuple_width > 1):
+        worlds = _rule_worlds(rule, axioms, m, n, reps, counts, pairs)
         weighted += np.bincount(worlds, weights, minlength=axiom_set.n_masks)
     p = zeta_superset(weighted)
     p /= p[0]
@@ -313,7 +322,8 @@ def dominance_check(
     ``rule_g`` satisfies all of S is also a tuple on which ``rule_f`` does.
     This is the measure-free partial order that the Moebius performance
     measure extends: when it holds, the measure ranks ``rule_f`` at least as
-    high for every capacity and every sampling distribution.
+    high for every capacity and every sampling distribution.  One walk over
+    the count classes serves both rules.
     """
     check_problem_size(m, n)
     axiom_set, tuple_width = _battery(axioms)
@@ -321,10 +331,9 @@ def dominance_check(
     j = axiom_set.size
     pmf = ImpartialCulture().ranking_pmf(m)  # any pmf: the weights are ignored
     pair_codes: set[int] = set()
-    for (wf, _), (wg, _) in zip(
-        _exact_worlds(rule_f, axioms, m, n, pmf),
-        _exact_worlds(rule_g, axioms, m, n, pmf),
-    ):
+    for reps, counts, pairs, _ in _classes(m, n, pmf, tuple_width > 1):
+        wf = _rule_worlds(rule_f, axioms, m, n, reps, counts, pairs)
+        wg = _rule_worlds(rule_g, axioms, m, n, reps, counts, pairs)
         pair_codes.update(np.unique((wg << j) | wf).tolist())
 
     masks = np.arange(axiom_set.n_masks)

@@ -36,7 +36,13 @@ from axiometer import (
     validate_capacity,
 )
 from axiometer.cli import _emit, main
-from axiometer.simulation import estimated_from_json
+from axiometer.simulation import (
+    AxiomSpec,
+    ImpartialCulture,
+    VotingRule,
+    estimate_collection,
+    estimated_from_json,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO = ROOT / "demo"
@@ -109,6 +115,33 @@ def test_estimate_rejects_nan_stderr():
     }
     with pytest.raises(ParseError, match="must be finite"):
         estimated_from_json(doc)
+
+
+class UntouchedSampler:
+    """A sampler that fails the test if it is asked for anything."""
+
+    def ranking_pmf(self, *args):
+        raise AssertionError("the sampler was read")
+
+    sample = ranking_pmf
+
+
+@pytest.mark.parametrize("n_samples, seed", [
+    (10, -1), (10, 1.5), (10, True), (10, "7"), (10, None),
+    (2.5, 1), (10.0, 1), (True, 1), ("10", 1),
+])
+def test_estimate_rejects_a_bad_seed_or_sample_count_before_drawing(n_samples, seed):
+    axioms = [AxiomSpec.builtin("pareto")]
+    with pytest.raises(RangeError, match="seed|sample count"):
+        estimate_collection(VotingRule("plurality"), axioms, UntouchedSampler(), 3, 3,
+                            n_samples, seed)
+
+
+def test_estimate_accepts_numpy_integers():
+    axioms = [AxiomSpec.builtin("pareto")]
+    est = estimate_collection(VotingRule("plurality"), axioms, ImpartialCulture(), 3, 3,
+                              np.int64(10), np.uint8(1))
+    assert est.n_samples == 10 and est.seed == 1
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "loose"])

@@ -287,8 +287,11 @@ class TestWorlds:
         else:
             # a lone voter's top candidate wins under all rules but antiplurality
             assert raised.any() or (n == 1 and tag != "antiplurality")
-        worlds = estimate_module._worlds(rule, SIX_AXIOMS, rankings, m, n)
-        np.testing.assert_array_equal(worlds, full_pair_worlds(rule, SIX_AXIOMS, rankings, m, n))
+        pairs = estimate_module._drawn(rankings)
+        worlds = estimate_module._rule_worlds(rule, SIX_AXIOMS, m, n, rankings[:, 0], None, pairs)
+        worlds[pairs[0]] = worlds[len(rankings):]
+        np.testing.assert_array_equal(worlds[:len(rankings)],
+                                      full_pair_worlds(rule, SIX_AXIOMS, rankings, m, n))
 
     def test_block_counts_ballots_of_the_first_profile_only(self, monkeypatch):
         # the second profile of a pair is scored from the first one's counts,
@@ -471,20 +474,46 @@ class TestDominance:
             )
             assert bool(result.per_mask[mask]) == included
 
-    def test_matches_scalar_inclusion_sweep_with_relational_axiom(self):
-        axioms = [AxiomSpec.builtin("majority_winner"),
-                  AxiomSpec.builtin("strategyproof_pair")]
-        result = dominance_check(COPELAND, BORDA, axioms, 3, 1)
-        profiles = all_profiles(3, 1)
-        for mask in (1, 2, 3):
+    # at n = 1 every pair of distinct profiles is related; at n = 2 some are not
+    @pytest.mark.parametrize("rule_f, rule_g, tags, n", [
+        (COPELAND, BORDA, ("majority_winner", "strategyproof_pair"), 1),
+        (PLURALITY, BORDA, ("majority_winner", "strategyproof_pair", "monotonicity_pair"), 2),
+    ], ids=["copeland_borda_n1", "plurality_borda_n2"])
+    def test_matches_scalar_inclusion_sweep_with_relational_axiom(self, rule_f, rule_g, tags, n):
+        axioms = [AxiomSpec.builtin(tag) for tag in tags]
+        result = dominance_check(rule_f, rule_g, axioms, 3, n)
+        profiles = all_profiles(3, n)
+        for mask in range(1, 1 << len(axioms)):
             chosen = [ax for b, ax in enumerate(axioms) if mask >> b & 1]
             included = all(
-                any(not check_axiom(ax, BORDA, [p1, p2]) for ax in chosen)
-                or all(check_axiom(ax, COPELAND, [p1, p2]) for ax in chosen)
+                any(not check_axiom(ax, rule_g, [p1, p2]) for ax in chosen)
+                or all(check_axiom(ax, rule_f, [p1, p2]) for ax in chosen)
                 for p1 in profiles
                 for p2 in profiles
             )
             assert bool(result.per_mask[mask]) == included
+
+    def test_walks_the_classes_once(self, monkeypatch):
+        # both rules score the same blocks, so the ballots of each class
+        # representative are counted once, not once per rule
+        walks, counted = [], []
+        classes = estimate_module._classes
+
+        def walking(*args):
+            walks.append(args)
+            return classes(*args)
+
+        def counting(rankings, m):
+            counted.append(len(rankings))
+            return ranking_counts(rankings, m)
+
+        monkeypatch.setattr(estimate_module, "_classes", walking)
+        for module in (estimate_module, axioms_module):
+            monkeypatch.setattr(module, "ranking_counts", counting)
+        monkeypatch.setattr(estimate_module, "CHUNK_TUPLES", 17)
+        dominance_check(PLURALITY, BORDA, MIXED_TRIPLE, 3, 2)
+        assert len(walks) == 1
+        assert len(counted) > 1 and sum(counted) == math.comb(2 + 6 - 1, 2)
 
     def test_dominance_implies_measure_order(self):
         axioms = [AxiomSpec.builtin("condorcet_consistency")]
